@@ -295,6 +295,9 @@ int main(int Argc, char **Argv) {
     DOpts.SocketPath = Dir + "/shed.sock";
     DOpts.MaxInFlight = 1;
     DOpts.RetryAfterMs = 25;
+    // One worker, so the occupant below holds the slot for its whole
+    // sequential verification time whatever the core count.
+    DOpts.Jobs = 1;
     Result<std::unique_ptr<ReflexDaemon>> D = ReflexDaemon::start(DOpts);
     if (!D.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", D.error().c_str());
@@ -304,9 +307,12 @@ int main(int Argc, char **Argv) {
 
     // Occupy the single slot with a long verify whose response we will
     // collect at the end — if the daemon drops it, that is a dropped
-    // accepted request and the gate fails.
+    // accepted request and the gate fails. 160 chain stages take ~0.75 s
+    // on one core of a 4-vCPU x86-64 VM, well past the 150 ms settle
+    // below (80 stages on four workers finished inside it there, and
+    // nothing was shed).
     std::string Slow = kernels::syntheticChainKernel(
-        std::max(80u, Stages * 4));
+        std::max(160u, Stages * 8));
     Result<DaemonClient> Occupant = DaemonClient::connect((*D)->socketPath());
     if (!Occupant.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", Occupant.error().c_str());

@@ -3,10 +3,8 @@
 // The verification-service bench: all seven kernels (41 properties)
 // verified sequentially, then on N workers (shared frozen abstraction +
 // cross-worker caches, with a sharing-off ablation row), then against a
-// cold and a warm persistent proof cache — the warm cache measured twice,
-// once with the full obligation-replay re-check and once on the fast
-// hash-chain path against a freshly reopened cache (so the open-time
-// preload index is exercised). Writes BENCH_parallel.json so later PRs
+// cold and a warm persistent proof cache, every warm hit re-checked in
+// full by the certificate checker. Writes BENCH_parallel.json so later PRs
 // can track the perf trajectory. Timings are medians over `reps`
 // repetitions (medians resist scheduler noise; minima hide it), the
 // sequential-vs-parallel speedups are medians of *paired*
@@ -18,8 +16,8 @@
 // Correctness gates (exit non-zero on failure):
 //  * every parallel run's per-property statuses and reasons are identical
 //    to the sequential run's (the scheduler's determinism contract);
-//  * both warm-cache runs serve every property from the cache, with every
-//    proved verdict re-validated (full replay resp. fast hash chain).
+//  * the warm-cache run serves every property from the cache, with every
+//    proved verdict re-validated by the checker.
 //
 // Flags:
 //   --jobs N    largest worker count to measure (default 4; 0 = cores)
@@ -200,25 +198,20 @@ int main(int Argc, char **Argv) {
                 NoShareMs > 0 ? SeqMs / NoShareMs : 0);
   }
 
-  // Proof cache: cold populate, then two warm phases that must serve all
-  // 41 verdicts from disk — first with the full obligation-replay
-  // re-check, then on the fast hash-chain path against a *reopened*
-  // cache, so the open-time preload index (one stat+read pass) is what
-  // serves the hits. The fast phase is the headline warm number: it is
-  // the steady state of an incremental re-verification service.
+  // Proof cache: cold populate, then a warm phase that must serve all 41
+  // verdicts from disk, each Proved one re-checked by the checker.
   std::filesystem::path CacheDir =
       std::filesystem::temp_directory_path() /
       ("reflex-bench-cache-" + std::to_string(::getpid()));
-  double ColdMs = 0, WarmFullMs = 0, WarmFastMs = 0;
+  double ColdMs = 0, WarmFullMs = 0;
   // Per-phase costs inside the warm lookups (last measured batch): JSON
   // decode of the cached entries vs certificate re-validation. With the
   // content-keyed re-check memo, a warm steady-state batch replays no
   // certificate it has already replayed this process, so the full-path
   // recheck_ms collapses after the first warm batch.
   double WarmDecodeMs = 0, WarmRecheckMs = 0;
-  double FastDecodeMs = 0, FastRecheckMs = 0;
-  uint64_t WarmHits = 0, WarmRejected = 0, FastHits = 0;
-  bool WarmAllCached = false, FastAllCached = false;
+  uint64_t WarmHits = 0, WarmRejected = 0;
+  bool WarmAllCached = false;
   {
     Result<std::unique_ptr<ProofCache>> Cache =
         ProofCache::open(CacheDir.string());
@@ -256,41 +249,6 @@ int main(int Argc, char **Argv) {
     std::printf("%-24s decode %.2f ms, re-check %.2f ms\n", "",
                 WarmDecodeMs, WarmRecheckMs);
   }
-  {
-    Result<std::unique_ptr<ProofCache>> Cache =
-        ProofCache::open(CacheDir.string());
-    if (!Cache.ok()) {
-      std::fprintf(stderr, "FAIL: %s\n", Cache.error().c_str());
-      return 1;
-    }
-    SchedulerOptions Fast;
-    Fast.Jobs = MaxJobs;
-    Fast.Cache = Cache->get();
-    Fast.Verify.FastCacheRecheck = true;
-    BatchOutcome Out;
-    WarmFastMs = medianOverRuns(Runs, S.Programs, Fast, &Out);
-    FastHits = Out.CacheStats.Hits;
-    FastDecodeMs = Out.CacheStats.DecodeMillis;
-    FastRecheckMs = Out.CacheStats.RecheckMillis;
-    FastAllCached = FastHits == Out.propertyCount();
-    for (const VerificationReport &R : Out.Reports)
-      for (const PropertyResult &PR : R.Results)
-        if (PR.Status == VerifyStatus::Proved && !PR.CertChecked &&
-            !PR.FastRecheck)
-          FastAllCached = false;
-    if (benchutil::flatVerdicts(Out) != SeqVerdicts) {
-      std::fprintf(stderr, "FAIL: fast warm-cache verdicts differ from "
-                           "sequential\n");
-      Deterministic = false;
-    }
-    std::printf("%-24s %10.2f ms   %.2fx vs sequential, %llu/%u from "
-                "cache\n",
-                "cache warm (fast)", WarmFastMs,
-                WarmFastMs > 0 ? SeqMs / WarmFastMs : 0,
-                (unsigned long long)FastHits, Out.propertyCount());
-    std::printf("%-24s decode %.2f ms, re-check %.2f ms\n", "",
-                FastDecodeMs, FastRecheckMs);
-  }
   std::error_code EC;
   std::filesystem::remove_all(CacheDir, EC);
 
@@ -327,38 +285,25 @@ int main(int Argc, char **Argv) {
   W.value(ColdMs);
   W.key("warm_full_ms");
   W.value(WarmFullMs);
-  W.key("warm_fast_ms");
-  W.value(WarmFastMs);
   W.key("warm_full_decode_ms");
   W.value(WarmDecodeMs);
   W.key("warm_full_recheck_ms");
   W.value(WarmRecheckMs);
-  W.key("warm_fast_decode_ms");
-  W.value(FastDecodeMs);
-  W.key("warm_fast_recheck_ms");
-  W.value(FastRecheckMs);
-  // Headline: the fast hash-chain path is the steady-state warm cost.
   W.key("warm_speedup_vs_sequential");
-  W.value(benchutil::round2(WarmFastMs > 0 ? SeqMs / WarmFastMs : 0));
-  W.key("warm_full_speedup_vs_sequential");
   W.value(benchutil::round2(WarmFullMs > 0 ? SeqMs / WarmFullMs : 0));
   W.field("warm_hits", int64_t(WarmHits));
-  W.field("warm_fast_hits", int64_t(FastHits));
   W.field("warm_rejected", int64_t(WarmRejected));
   W.field("warm_all_cached", WarmAllCached);
-  W.field("warm_fast_all_cached", FastAllCached);
   W.endObject();
   W.field("deterministic", Deterministic);
   W.endObject();
   if (!benchutil::writeJsonRecord(W, OutPath))
     return 1;
 
-  if (!Deterministic || !WarmAllCached || !FastAllCached) {
+  if (!Deterministic || !WarmAllCached) {
     std::fprintf(stderr, "FAIL: %s\n",
-                 !Deterministic  ? "nondeterministic verdicts"
-                 : !WarmAllCached ? "warm cache did not serve all verdicts"
-                                  : "fast warm cache did not serve all "
-                                    "verdicts");
+                 !Deterministic ? "nondeterministic verdicts"
+                                : "warm cache did not serve all verdicts");
     return 1;
   }
   return 0;

@@ -2,7 +2,7 @@
 //
 // The proof-engine portfolio bench (docs/ENGINES.md): the seven paper
 // kernels plus the pdrlock demo kernel verified under each engine —
-// induction, PDR, and the racing portfolio — with per-engine timings and
+// induction, PDR, and the portfolio — with per-engine timings and
 // proved counts, written to BENCH_portfolio.json.
 //
 // Correctness gates (exit non-zero on failure):
@@ -11,8 +11,7 @@
 //    the portfolio's reason to exist;
 //  * the portfolio serves that property through PDR, and its verdicts
 //    over the whole suite are byte-identical (statuses, reasons,
-//    certificates, serving engines) across one worker and many — the
-//    canonical selection rule erases the race's timing;
+//    certificates, serving engines) across one worker and many;
 //  * every engine's verdicts are themselves jobs-count independent.
 //
 // Flags:

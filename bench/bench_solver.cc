@@ -16,11 +16,7 @@
 //                   then each probe is a checkAssuming against the
 //                   persistent congruence closure;
 //  * logged       — the incremental arm with reason-trail recording on,
-//                   to price the proof-logging overhead;
-//  * lifo         — the incremental arm with the historical LIFO
-//                   pending-merge drain instead of activity-driven
-//                   ordering, to price the ordering heuristic in
-//                   isolation (merge_order_delta_pct).
+//                   to price the proof-logging overhead.
 //
 // Both timed arms run with the memo disabled — the bench prices the
 // solving itself, not the cache in front of it. Arms alternate per
@@ -29,7 +25,7 @@
 //
 // Correctness gates (exit non-zero on failure):
 //  * per-query parity: every incremental arm's SatResult sequence
-//    (activity-ordered, logged, and lifo) equals the reference arm's;
+//    (plain and logged) equals the reference arm's;
 //  * every reason trail recorded by the logged arm survives the
 //    independent replayer (replayReasonTrail);
 //  * outside --smoke, incremental speedup >= 2x.
@@ -116,18 +112,13 @@ double runScratch(TermContext &Ctx, const std::vector<QueryFamily> &Fams,
 
 /// Runs every family through the incremental core: the condition is
 /// asserted once per family, each probe is one checkAssuming.
-/// \p Activity selects activity-driven pending-merge ordering (the
-/// default) or the historical LIFO drain — the A/B arm that prices the
-/// ordering heuristic.
 double runIncremental(TermContext &Ctx, const std::vector<QueryFamily> &Fams,
                       bool Log, std::vector<SatResult> *Results,
                       SolverStats *StatsOut,
-                      std::vector<ReasonTrail> *TrailsOut,
-                      bool Activity = true) {
+                      std::vector<ReasonTrail> *TrailsOut) {
   Solver S(Ctx);
   S.setMemoEnabled(false);
   S.setLogEnabled(Log);
-  S.setActivityMergeOrder(Activity);
   WallTimer T;
   for (const QueryFamily &F : Fams) {
     Solver::Scope Sc(S, F.Cond);
@@ -198,17 +189,14 @@ int main(int Argc, char **Argv) {
 
   // Parity gate (untimed): identical SatResult sequences, and every
   // recorded reason trail replays through the independent validator.
-  std::vector<SatResult> Ref, Inc, IncLogged, IncLifo;
+  std::vector<SatResult> Ref, Inc, IncLogged;
   runScratch(Ctx, Fams, &Ref);
   runIncremental(Ctx, Fams, /*Log=*/false, &Inc, nullptr, nullptr);
   std::vector<ReasonTrail> Trails;
   runIncremental(Ctx, Fams, /*Log=*/true, &IncLogged, nullptr, &Trails);
-  runIncremental(Ctx, Fams, /*Log=*/false, &IncLifo, nullptr, nullptr,
-                 /*Activity=*/false);
-  if (Ref != Inc || Ref != IncLogged || Ref != IncLifo) {
+  if (Ref != Inc || Ref != IncLogged) {
     size_t At = 0;
-    while (At < Ref.size() && Ref[At] == Inc[At] && Ref[At] == IncLogged[At] &&
-           Ref[At] == IncLifo[At])
+    while (At < Ref.size() && Ref[At] == Inc[At] && Ref[At] == IncLogged[At])
       ++At;
     std::fprintf(stderr,
                  "FAIL: incremental/reference verdict mismatch at query "
@@ -227,16 +215,12 @@ int main(int Argc, char **Argv) {
       return 1;
     }
   }
-  std::printf("parity: %zu queries agree across 4 arms (%zu unsat); %zu "
+  std::printf("parity: %zu queries agree across 3 arms (%zu unsat); %zu "
               "reason trails replayed\n",
               Ref.size(), UnsatCount, Trails.size());
 
-  // Timed arms, alternating per repetition; paired adjacent ratios. The
-  // lifo arm re-runs the incremental core with the historical LIFO
-  // pending-merge drain, so merge_order_delta_pct below prices the
-  // activity-driven ordering in isolation.
-  std::vector<double> ScratchMsS, IncMsS, LoggedMsS, LifoMsS, Ratios,
-      OrderRatios;
+  // Timed arms, alternating per repetition; paired adjacent ratios.
+  std::vector<double> ScratchMsS, IncMsS, LoggedMsS, Ratios;
   SolverStats LastStats;
   for (unsigned R = 0; R < Reps; ++R) {
     double SMs, IMs;
@@ -247,21 +231,15 @@ int main(int Argc, char **Argv) {
       IMs = runIncremental(Ctx, Fams, false, nullptr, nullptr, nullptr);
       SMs = runScratch(Ctx, Fams, nullptr);
     }
-    double FMs = runIncremental(Ctx, Fams, false, nullptr, nullptr, nullptr,
-                                /*Activity=*/false);
     double LMs = runIncremental(Ctx, Fams, true, nullptr, &LastStats, nullptr);
     ScratchMsS.push_back(SMs);
     IncMsS.push_back(IMs);
     LoggedMsS.push_back(LMs);
-    LifoMsS.push_back(FMs);
     Ratios.push_back(SMs / std::max(IMs, 1e-6));
-    OrderRatios.push_back(FMs / std::max(IMs, 1e-6));
   }
   double ScratchMs = median(ScratchMsS), IncMs = median(IncMsS);
   double LoggedMs = median(LoggedMsS);
-  double LifoMs = median(LifoMsS);
   double Speedup = Round2(median(Ratios));
-  double OrderDeltaPct = Round2((median(OrderRatios) - 1.0) * 100);
   double QpsScratch = QueryCount / std::max(ScratchMs, 1e-6) * 1e3;
   double QpsInc = QueryCount / std::max(IncMs, 1e-6) * 1e3;
   double LogOverheadPct =
@@ -271,8 +249,6 @@ int main(int Argc, char **Argv) {
               QpsScratch);
   std::printf("incremental:  %8.2f ms  (%.0f queries/s)  speedup %.2fx\n",
               IncMs, QpsInc, Speedup);
-  std::printf("lifo order:   %8.2f ms  (activity ordering delta %+.2f%%)\n",
-              LifoMs, OrderDeltaPct);
   std::printf("with logging: %8.2f ms  (overhead %.2f%%, %llu trail "
               "bytes)\n",
               LoggedMs, LogOverheadPct,
@@ -293,10 +269,6 @@ int main(int Argc, char **Argv) {
   W.value(Round2(IncMs));
   W.key("logged_ms");
   W.value(Round2(LoggedMs));
-  W.key("lifo_merge_ms");
-  W.value(Round2(LifoMs));
-  W.key("merge_order_delta_pct");
-  W.value(OrderDeltaPct);
   W.key("queries_per_sec_scratch");
   W.value(Round2(QpsScratch));
   W.key("queries_per_sec_incremental");

@@ -114,7 +114,6 @@ Result<DaemonRequest> decodeDaemonRequest(const std::string &Frame) {
   REFLEX_FLAG(R.Verify.Simplify, "no_simplify", true);
   REFLEX_FLAG(R.Verify.CacheInvariants, "no_cache", true);
   REFLEX_FLAG(R.Verify.CheckCertificates, "no_check", true);
-  REFLEX_FLAG(R.Verify.FastCacheRecheck, "fast_cache", false);
   REFLEX_FLAG(R.SharedCaches, "no_share", true);
   REFLEX_FLAG(R.UseProofCache, "no_proof_cache", true);
 #undef REFLEX_NUM
@@ -151,8 +150,6 @@ void writePropertyResult(JsonWriter &W, const PropertyResult &R) {
     W.field("cache_hit", true);
   if (R.FootprintHit)
     W.field("footprint_hit", true);
-  if (R.FastRecheck)
-    W.field("fast_recheck", true);
   if (R.Attempts > 1)
     W.field("attempts", int64_t(R.Attempts));
   if (!R.ServedBy.empty())
@@ -226,7 +223,6 @@ std::string encodeOpenSessionFrame(const DaemonRequest &R,
   W.field("no_simplify", !R.Verify.Simplify);
   W.field("no_cache", !R.Verify.CacheInvariants);
   W.field("no_check", !R.Verify.CheckCertificates);
-  W.field("fast_cache", R.Verify.FastCacheRecheck);
   W.field("no_share", !R.SharedCaches);
   W.field("no_proof_cache", !R.UseProofCache);
   W.field("engine", engineKindName(R.Verify.Engine));

@@ -26,8 +26,10 @@
 /// The "options" object mirrors the `reflex verify` flags one-to-one
 /// (same keys modulo `--` and `-`→`_`): jobs, retries, bmc_depth,
 /// timeout_ms, step_budget, no_skip, no_simplify, no_cache, no_check,
-/// fast_cache, no_share, plus no_proof_cache (skip the daemon's
-/// persistent cache for this request/session). Because the mapping is
+/// no_share, engine, plus no_proof_cache (skip the daemon's persistent
+/// cache for this request/session). Unknown option keys are ignored, so
+/// journals written by older daemons (which also recorded fast_cache)
+/// still recover. Because the mapping is
 /// shared with the CLI's semantics, daemon verdicts are byte-identical
 /// to one-shot `reflex verify` runs — the determinism contract
 /// (verdict = f(program, property, options)) holds across the wire.

@@ -42,8 +42,9 @@ std::vector<const Program *> corpusPrograms(const GeneratedCorpus &Corpus) {
 /// How strictly a parity arm is compared against the baseline:
 ///  * FullKey — status AND reason byte-identical (the determinism
 ///    contract: same options, so same verdict bytes);
-///  * StatusKey — statuses identical (the portfolio races engines, so
-///    refutation reasons may legitimately come from a different member);
+///  * StatusKey — statuses identical (the portfolio consults two
+///    engines, so refutation reasons may legitimately come from a
+///    different member);
 ///  * NoContradiction — a *definite* verdict (Proved/Refuted) must match
 ///    the baseline status; Unknown is tolerated. This is the soundness
 ///    cross-check for standalone PDR, which is incomplete on the guard
@@ -326,8 +327,8 @@ OracleReport runOracle(const GeneratedCorpus &Corpus,
       ++Rep.ParityArms;
     }
     {
-      // The portfolio races induction, so it must land every verdict the
-      // baseline does (reasons may come from a different race winner).
+      // The portfolio runs induction first, so it must land every verdict
+      // the baseline does (reasons may come from PDR when it serves).
       SchedulerOptions Pf = Seq;
       Pf.Jobs = Opts.Jobs;
       Pf.Verify.Engine = EngineKind::Portfolio;

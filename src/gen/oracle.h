@@ -28,8 +28,8 @@
 ///  4. parity — the whole corpus re-verified across engines × jobs ×
 ///     sharing × cache states; statuses and reasons must be
 ///     byte-identical across jobs/sharing/cache (the determinism
-///     contract), statuses identical under the portfolio (induction is
-///     a race member, so every baseline verdict must land), and
+///     contract), statuses identical under the portfolio (induction runs
+///     first in it, so every baseline verdict must land), and
 ///     standalone PDR must never *contradict* the baseline (it may
 ///     answer Unknown on these history obligations — see docs/CORPUS.md
 ///     — but a definite disagreeing verdict is a soundness bug).

@@ -26,15 +26,16 @@ namespace {
 /// Bumped whenever the entry layout or the canonical certificate form
 /// changes. An entry from another version is *stale, not damaged*: it
 /// decodes to a plain miss (never quarantined) and is overwritten after
-/// re-verification. (cert_sha256 was added without a bump: it is
-/// optional, and entries missing it simply take the full re-check path.
-/// Version 2 moved the key to the declaration fingerprint and added the
-/// proof footprint and per-handler fingerprints. Version 3 made
-/// footprints path-granular — entries record which paths of each
-/// consulted handler the proof entered, plus the rendered path
-/// fingerprints reuse compares; v2 entries carry neither, and their
-/// guard order may predate render-stable sorting, so they cannot be
-/// validated against an edited program and simply miss.)
+/// re-verification. (cert_sha256 was once written without a bump; it
+/// is no longer written, and entries carrying it still decode, since
+/// unknown fields are ignored. Version 2 moved the key to the
+/// declaration fingerprint and added the proof footprint and
+/// per-handler fingerprints. Version 3 made footprints path-granular —
+/// entries record which paths of each consulted handler the proof
+/// entered, plus the rendered path fingerprints reuse compares; v2
+/// entries carry neither, and their guard order may predate
+/// render-stable sorting, so they cannot be validated against an edited
+/// program and simply miss.)
 constexpr int64_t EntryVersion = 3;
 
 /// The GC manifest's filename. Lives beside the entries (same .json
@@ -76,7 +77,6 @@ std::optional<ProofCacheEntry> decodeEntry(const std::string &Bytes,
   E.CertChecked = Doc->getBool("cert_checked", false);
   E.CanonicalCert = Doc->getString("canonical_cert");
   E.CertJson = Doc->getString("cert_json");
-  E.CertSha256 = Doc->getString("cert_sha256");
   E.DeclSha256 = Doc->getString("decl_sha256");
   E.ServedBy = Doc->getString("served_by");
   if (E.Status == VerifyStatus::Proved && E.CanonicalCert.empty())
@@ -331,8 +331,6 @@ Result<void> ProofCache::store(const std::string &Key,
   W.field("cert_checked", Entry.CertChecked);
   W.field("canonical_cert", Entry.CanonicalCert);
   W.field("cert_json", Entry.CertJson);
-  if (!Entry.CertSha256.empty())
-    W.field("cert_sha256", Entry.CertSha256);
   if (!Entry.DeclSha256.empty())
     W.field("decl_sha256", Entry.DeclSha256);
   if (!Entry.ServedBy.empty())
@@ -628,124 +626,12 @@ void ProofCache::noteFullRecheckOk(const std::string &MemoKey) {
   RecheckOk.insert(MemoKey);
 }
 
-namespace {
-
-bool isKnownJustify(const std::string &Name) {
-  static const Justify All[] = {
-      Justify::PathInfeasible, Justify::LocalObligation, Justify::CompOrigin,
-      Justify::InvariantHistory, Justify::NoCompHistory,
-      Justify::GuardPreserved, Justify::SyntacticSkip, Justify::NoPriorLocal,
-      Justify::FrameBlocked};
-  for (Justify J : All)
-    if (Name == justifyName(J))
-      return true;
-  return false;
-}
-
-/// Structural validation of one proof-step object against the set of
-/// invariant ids declared in the certificate.
-bool stepWellFormed(const JsonValue &Step,
-                    const std::vector<int64_t> &InvariantIds) {
-  if (!Step.isObject())
-    return false;
-  const JsonValue *J = Step.get("justify");
-  if (!J || !J->isString() || !isKnownJustify(J->stringValue()))
-    return false;
-  if (const JsonValue *Inv = Step.get("invariant")) {
-    if (!Inv->isNumber())
-      return false;
-    int64_t Id = int64_t(Inv->numberValue());
-    bool Found = false;
-    for (int64_t Known : InvariantIds)
-      Found |= Known == Id;
-    if (!Found)
-      return false;
-  }
-  return true;
-}
-
-/// The structural half of the fast re-check: the canonical certificate
-/// must parse, name a property, carry a kind, and every proof step —
-/// top-level and inside each auxiliary invariant — must cite a known
-/// justification whose invariant reference (if any) resolves within the
-/// certificate itself.
-ProofCache::CertParse parseCanonicalCert(const std::string &CanonicalCert) {
-  ProofCache::CertParse Out;
-  Result<JsonValue> Doc = parseJson(CanonicalCert);
-  if (!Doc.ok() || !Doc->isObject())
-    return Out;
-  Out.PropName = Doc->getString("property");
-  if (Out.PropName.empty() || Doc->getString("kind").empty())
-    return Out;
-  const JsonValue *Steps = Doc->get("steps");
-  if (!Steps || !Steps->isArray())
-    return Out;
-  std::vector<int64_t> InvariantIds;
-  const JsonValue *Invs = Doc->get("invariants");
-  if (Invs) {
-    if (!Invs->isArray())
-      return Out;
-    for (const JsonValue &Inv : Invs->items()) {
-      if (!Inv.isObject())
-        return Out;
-      InvariantIds.push_back(int64_t(Inv.getNumber("id", 0)));
-    }
-  }
-  for (const JsonValue &Step : Steps->items())
-    if (!stepWellFormed(Step, InvariantIds))
-      return Out;
-  if (Invs)
-    for (const JsonValue &Inv : Invs->items()) {
-      const JsonValue *ISteps = Inv.get("steps");
-      if (!ISteps || !ISteps->isArray())
-        return Out;
-      for (const JsonValue &Step : ISteps->items())
-        if (!stepWellFormed(Step, InvariantIds))
-          return Out;
-    }
-  Out.StructOk = true;
-  return Out;
-}
-
-} // namespace
-
-bool ProofCache::validateCertificateFast(const ProofCacheEntry &Entry,
-                                         const Property &Prop) {
-  // The hash chain: the stored digest must cover the stored certificate.
-  // This is what makes bit-flips, truncation, and splices detectable
-  // without replaying the proof — an attacker able to recompute the
-  // digest could as well forge a fresh entry, which is exactly the trust
-  // level --fast-cache opts into (see docs/PERF.md). Digest and parse
-  // are memoized by certificate *content*: the map's key equality pins
-  // which bytes the memo covers, so same bytes always report the same
-  // digest, and a batch that re-checks one certificate many times pays
-  // for one SHA-256 and one parse.
-  CertCheck Checked;
-  {
-    std::lock_guard<std::mutex> Lock(ParseMu);
-    auto It = ParseMemo.find(Entry.CanonicalCert);
-    if (It != ParseMemo.end()) {
-      Checked = It->second;
-    } else {
-      Checked.Sha256 = sha256Hex(Entry.CanonicalCert);
-      Checked.Parse = parseCanonicalCert(Entry.CanonicalCert);
-      ParseMemo.emplace(Entry.CanonicalCert, Checked);
-    }
-  }
-  return Checked.Sha256 == Entry.CertSha256 && Checked.Parse.StructOk &&
-         Checked.Parse.PropName == Prop.Name;
-}
-
 std::string ProofCache::memoizedDigest(const std::string &CanonicalCert) {
-  std::lock_guard<std::mutex> Lock(ParseMu);
-  auto It = ParseMemo.find(CanonicalCert);
-  if (It == ParseMemo.end()) {
-    CertCheck C;
-    C.Sha256 = sha256Hex(CanonicalCert);
-    C.Parse = parseCanonicalCert(CanonicalCert);
-    It = ParseMemo.emplace(CanonicalCert, std::move(C)).first;
-  }
-  return It->second.Sha256;
+  std::lock_guard<std::mutex> Lock(DigestMu);
+  auto It = DigestMemo.find(CanonicalCert);
+  if (It == DigestMemo.end())
+    It = DigestMemo.emplace(CanonicalCert, sha256Hex(CanonicalCert)).first;
+  return It->second;
 }
 
 PropertyResult verifyPropertyCached(
@@ -849,79 +735,54 @@ PropertyResult verifyPropertyCached(
       ServeHit(R);
       return R;
     }
-    bool TryFullRecheck = true;
-    if (Opts.FastCacheRecheck && !E->CertSha256.empty()) {
-      // Fast mode: hash chain + memoized structural validation; no
-      // session, no obligation replay. An entry that fails this is
-      // damaged by construction (its digest does not cover its
-      // certificate, or the certificate is structural junk), so it is
-      // quarantined rather than retried at full strength.
-      TryFullRecheck = false;
-      WallTimer RecheckTimer;
-      bool FastOk = Cache->validateCertificateFast(*E, Prop);
-      Cache->noteRecheckMillis(RecheckTimer.elapsedMillis());
-      if (FastOk) {
-        PropertyResult R;
-        R.Status = VerifyStatus::Proved;
-        R.CertJson = std::move(E->CertJson);
-        R.CertChecked = false;
-        R.FastRecheck = true;
-        ServeHit(R);
-        return R;
-      }
+    // Full-mode memo: replaying a byte-identical certificate against
+    // byte-identical handler bodies is deterministic, so once this
+    // process has accepted (key, handler bodies, certificate content),
+    // later hits are served without rebuilding a session or replaying
+    // obligations — this is what keeps warm full-mode re-checking
+    // cheaper than re-proving.
+    std::string MemoKey =
+        Key + ":" + Fps->HandlersFp + ":" +
+        Cache->memoizedDigest(E->CanonicalCert);
+    if (Cache->fullRecheckMemoized(MemoKey)) {
+      PropertyResult R;
+      R.Status = VerifyStatus::Proved;
+      R.CertJson = std::move(E->CertJson);
+      R.CertChecked = true;
+      ServeHit(R);
+      return R;
+    }
+    VerifySession &Live = Session();
+    ProverOptions RecheckOpts = proverOptions(Opts);
+    RecheckOpts.Budget = Budget;
+    WallTimer RecheckTimer;
+    RecheckOutcome Chk = checkCanonicalCertificate(
+        Live.termContext(), Live.program(), Live.behAbs(), Prop,
+        E->CanonicalCert, RecheckOpts);
+    Cache->noteRecheckMillis(RecheckTimer.elapsedMillis());
+    if (Chk.Ok) {
+      Cache->noteFullRecheckOk(MemoKey);
+      PropertyResult R;
+      R.Status = VerifyStatus::Proved;
+      R.Cert = std::move(Chk.Rederived);
+      R.Cert.Footprint = E->FootprintAll
+                             ? std::vector<std::string>{"*"}
+                             : E->Footprint;
+      R.CertJson = R.Cert.toJson(Live.termContext());
+      R.CertChecked = true;
+      ServeHit(R);
+      return R;
+    }
+    if (Budget && Budget->expiredNow()) {
+      // The re-check failed only because the budget ran out mid-way —
+      // that says nothing about the entry, so it stays where it is. The
+      // full verification below fails fast with the budget status.
+    } else {
+      // Tampered/corrupt/stale: quarantine the evidence and fall
+      // through to a full verification, which will publish a fresh
+      // entry.
       Cache->noteRejected();
       Cache->quarantine(Key);
-    }
-    if (TryFullRecheck) {
-      // Full-mode memo: replaying a byte-identical certificate against
-      // byte-identical handler bodies is deterministic, so once this
-      // process has accepted (key, handler bodies, certificate content),
-      // later hits are served without rebuilding a session or replaying
-      // obligations — this is what keeps warm full-mode re-checking
-      // cheaper than re-proving.
-      std::string MemoKey =
-          Key + ":" + Fps->HandlersFp + ":" +
-          Cache->memoizedDigest(E->CanonicalCert);
-      if (Cache->fullRecheckMemoized(MemoKey)) {
-        PropertyResult R;
-        R.Status = VerifyStatus::Proved;
-        R.CertJson = std::move(E->CertJson);
-        R.CertChecked = true;
-        ServeHit(R);
-        return R;
-      }
-      VerifySession &Live = Session();
-      ProverOptions RecheckOpts = proverOptions(Opts);
-      RecheckOpts.Budget = Budget;
-      WallTimer RecheckTimer;
-      RecheckOutcome Chk = checkCanonicalCertificate(
-          Live.termContext(), Live.program(), Live.behAbs(), Prop,
-          E->CanonicalCert, RecheckOpts);
-      Cache->noteRecheckMillis(RecheckTimer.elapsedMillis());
-      if (Chk.Ok) {
-        Cache->noteFullRecheckOk(MemoKey);
-        PropertyResult R;
-        R.Status = VerifyStatus::Proved;
-        R.Cert = std::move(Chk.Rederived);
-        R.Cert.Footprint = E->FootprintAll
-                               ? std::vector<std::string>{"*"}
-                               : E->Footprint;
-        R.CertJson = R.Cert.toJson(Live.termContext());
-        R.CertChecked = true;
-        ServeHit(R);
-        return R;
-      }
-      if (Budget && Budget->expiredNow()) {
-        // The re-check failed only because the budget ran out mid-way —
-        // that says nothing about the entry, so it stays where it is. The
-        // full verification below fails fast with the budget status.
-      } else {
-        // Tampered/corrupt/stale: quarantine the evidence and fall
-        // through to a full verification, which will publish a fresh
-        // entry.
-        Cache->noteRejected();
-        Cache->quarantine(Key);
-      }
     }
   } else {
     Cache->noteMiss();
@@ -938,7 +799,6 @@ PropertyResult verifyPropertyCached(
     if (R.Status == VerifyStatus::Proved) {
       NewE.CanonicalCert = R.Cert.canonical(Session().termContext());
       NewE.CertJson = R.CertJson;
-      NewE.CertSha256 = sha256Hex(NewE.CanonicalCert);
     }
     NewE.FootprintCollected = R.Footprint.Collected;
     NewE.FootprintAll = R.Footprint.AllHandlers;

@@ -83,12 +83,6 @@ struct ProofCacheEntry {
   std::string CanonicalCert;
   /// Proved only: audit JSON (what --certs exports on an unchecked hit).
   std::string CertJson;
-  /// Proved only: SHA-256 (hex) of CanonicalCert, recorded at store time.
-  /// The fast re-check mode (VerifyOptions::FastCacheRecheck) validates
-  /// this hash chain instead of replaying obligations. Empty in entries
-  /// stored before the field existed — those always take the full
-  /// re-check.
-  std::string CertSha256;
   /// The proof footprint recorded when the verdict was produced
   /// (verify/footprint.h), in wire encoding — "key" for all paths,
   /// "key@id1,id2" for the entered paths. Not collected -> the entry is
@@ -109,9 +103,9 @@ struct ProofCacheEntry {
   /// SHA-256 (hex) of the declaration fingerprint the entry was keyed
   /// under (ProofCache::declId), recorded at store time so garbage
   /// collection can group entries by program without re-deriving keys.
-  /// Optional, like cert_sha256: entries stored before the field existed
-  /// simply have it empty — gc() treats them as unclaimed (dropping one
-  /// only ever costs a re-verification, never a wrong verdict).
+  /// Optional: entries stored before the field existed simply have it
+  /// empty — gc() treats them as unclaimed (dropping one only ever costs
+  /// a re-verification, never a wrong verdict).
   std::string DeclSha256;
   /// The engine that produced the verdict ("induction" / "pdr"), restored
   /// into PropertyResult::ServedBy on hits so reports stay byte-identical
@@ -256,8 +250,8 @@ public:
     uint64_t PathFallbacks = 0;
     /// Phase timings (wall-clock, summed across threads): time spent
     /// reading + decoding entries in lookup(), and time spent
-    /// re-validating certificates on hits (full canonical replay or fast
-    /// hash-chain validation). The parallel bench reports the split.
+    /// re-validating certificates on hits (full canonical replay). The
+    /// parallel bench reports the split.
     double DecodeMillis = 0;
     double RecheckMillis = 0;
   };
@@ -282,27 +276,9 @@ public:
   const PathFingerprints &pathFingerprintsFor(const std::string &MemoKey,
                                               VerifySession &Live);
 
-  /// The fast re-check: computes SHA-256 over the entry's canonical
-  /// certificate and compares it to the recorded CertSha256 (the hash
-  /// chain), then structurally validates the certificate JSON — right
-  /// property, known justifications, resolvable invariant references —
-  /// without replaying obligations. Digest and parse are memoized by
-  /// certificate *content* (same bytes, same digest), so a batch
-  /// re-check hashes and parses each distinct certificate once per
-  /// process. Pre-condition: Entry.CertSha256 is non-empty.
-  bool validateCertificateFast(const ProofCacheEntry &Entry,
-                               const Property &Prop);
-
-  /// Result of the memoized structural parse (public so the out-of-line
-  /// parser helper can name it; not part of the cache's API surface).
-  struct CertParse {
-    bool StructOk = false;
-    std::string PropName;
-  };
-
-  /// The content digest of a canonical certificate, served from the same
-  /// content-keyed memo the fast re-check uses (one SHA-256 per distinct
-  /// certificate per process).
+  /// The content digest of a canonical certificate, memoized by the
+  /// certificate content itself (one SHA-256 per distinct certificate per
+  /// process). Keys the full-recheck memo below.
   std::string memoizedDigest(const std::string &CanonicalCert);
 
   /// The full-recheck memo: once checkCanonicalCertificate has accepted a
@@ -357,15 +333,11 @@ private:
   mutable std::mutex IndexMu;
   std::unordered_map<std::string, IndexedEntry> Index;
 
-  /// Memoized digest + structural validation of canonical certificates,
-  /// keyed by the certificate content itself (the map's key equality —
-  /// not the claimed digest — pins which bytes the memo entry covers).
-  struct CertCheck {
-    std::string Sha256;
-    CertParse Parse;
-  };
-  mutable std::mutex ParseMu;
-  std::unordered_map<std::string, CertCheck> ParseMemo;
+  /// Memoized digests of canonical certificates, keyed by the
+  /// certificate content itself (the map's key equality pins which bytes
+  /// each digest covers).
+  mutable std::mutex DigestMu;
+  std::unordered_map<std::string, std::string> DigestMemo;
 
   /// Keys of full re-checks that succeeded this process (see
   /// fullRecheckMemoized). Only successes are memoized — a failed replay
@@ -417,11 +389,6 @@ private:
 /// property just reports its budget status. Budget statuses are never
 /// stored.
 ///
-/// With VerifyOptions::FastCacheRecheck, a Proved hit that carries a
-/// certificate hash is served after validateCertificateFast instead of
-/// the full canonical re-derivation (FastRecheck = true, CertChecked =
-/// false in the result); a failed fast validation quarantines the entry
-/// and re-verifies in full. Entries without a hash take the full re-check.
 /// Full re-checks of a certificate already accepted for this exact (key,
 /// handler bodies, certificate content) this process are served from the
 /// recheck memo without replaying (CertChecked = true, no live
@@ -434,12 +401,13 @@ PropertyResult verifyPropertyCached(VerifySession &Session,
 
 /// Lazy-session variant: \p Session is invoked only if a live session is
 /// actually needed — a cache miss, a full certificate re-check, or a
-/// rejected entry. Unknown hits, unchecked Proved hits, and fast-mode
-/// Proved hits are served without ever building one; this is what makes
-/// the warm path cheap (no symbolic re-execution of the program) and what
-/// the scheduler uses to avoid building sessions for fully cached
-/// programs. The provider may be called multiple times and must return
-/// the same session (for \p P, with \p Opts) each time.
+/// rejected entry. Unknown hits, unchecked Proved hits, and Proved hits
+/// already in the full-recheck memo are served without ever building
+/// one; this is what makes the warm path cheap (no symbolic re-execution
+/// of the program) and what the scheduler uses to avoid building
+/// sessions for fully cached programs. The provider may be called
+/// multiple times and must return the same session (for \p P, with
+/// \p Opts) each time.
 PropertyResult verifyPropertyCached(
     const Program &P, const VerifyOptions &Opts,
     const std::function<VerifySession &()> &Session, const Property &Prop,

@@ -244,8 +244,9 @@ BatchOutcome runBatch(const std::vector<const Program *> &Programs,
                                                                  A)) !=
                                FaultKind::None)
           throw std::runtime_error("injected worker fault");
-        // Lazy session: a warm cache hit (Unknown, unchecked Proved, or
-        // fast-validated Proved) is served without ever building one.
+        // Lazy session: a warm cache hit (Unknown, unchecked Proved, or a
+        // Proved one already in the re-check memo) is served without ever
+        // building one.
         auto SessionFor = [&]() -> VerifySession & {
           std::unique_ptr<VerifySession> &Session = Sessions[Jb.ProgIdx];
           if (!Session)

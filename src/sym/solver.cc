@@ -447,11 +447,9 @@ public:
   explicit IncrementalCore(TermContext &Ctx) : Ctx(Ctx) {}
 
   void setLogging(bool On) { Logging = On; }
-  void setActivityOrder(bool On) { ActivityOrder = On; }
 
   size_t depth() const { return TrailMarks.size(); }
   bool latched() const { return ConflictDepth >= 0; }
-  uint64_t sigSweeps() const { return SweepCount; }
 
   void pushScope() {
     TrailMarks.push_back(Trail.size());
@@ -462,12 +460,6 @@ public:
   /// entries reversed.
   uint64_t popScope() {
     assert(!TrailMarks.empty());
-    // Sample the signature-table working set for the depth-0 capacity
-    // sweep. Within a scope the table only grows (inserts are journaled,
-    // resign erases and re-inserts net zero), so its size at pop entry is
-    // the scope's peak; the max over an epoch's pops approximates the
-    // epoch's high-water mark.
-    EpochHighWater = std::max(EpochHighWater, Sigs.size());
     size_t Mark = TrailMarks.back();
     TrailMarks.pop_back();
     uint64_t N = 0;
@@ -552,44 +544,6 @@ public:
   }
 
   uint64_t undoCount() const { return UndoCount; }
-
-  /// Depth-0 capacity sweep for the watched-term signature tables.
-  ///
-  /// Every Sigs/CurSig insertion is journaled, so by the time the
-  /// wrapper stack returns to depth 0 the undo trail has removed every
-  /// entry: the tables are empty and only their bucket arrays survive
-  /// across queries. That capacity is ballast once the query mix
-  /// shrinks — a long-lived daemon solver that once walked a deep branch
-  /// nest keeps burst-sized tables forever. Called each time the wrapper
-  /// stack empties ("epoch"); after ColdEpochLimit consecutive epochs
-  /// whose high-water mark stayed under a quarter of the bucket
-  /// capacity, the tables are swapped for right-sized replacements
-  /// (seeded with the streak's peak so a steady workload never
-  /// re-grows from scratch). Purely a memory-footprint release: the
-  /// tables are empty either way, so verdicts, trails, and merge order
-  /// are untouched.
-  void sweepAtDepthZero() {
-    size_t Peak = EpochHighWater;
-    EpochHighWater = 0;
-    size_t Buckets = std::max(Sigs.bucket_count(), CurSig.bucket_count());
-    if (!Sigs.empty() || !CurSig.empty() || Buckets <= MinSweepBuckets ||
-        Peak * 4 >= Buckets) {
-      ColdStreak = 0;
-      StreakHighWater = 0;
-      return;
-    }
-    StreakHighWater = std::max(StreakHighWater, Peak);
-    if (++ColdStreak < ColdEpochLimit)
-      return;
-    size_t Keep = StreakHighWater;
-    ColdStreak = 0;
-    StreakHighWater = 0;
-    Sigs = std::unordered_map<SigKey, TermRef, SigKeyHash>(
-        std::max<size_t>(Keep * 2, 16));
-    CurSig = std::unordered_map<uint32_t, SigKey>(
-        std::max<size_t>(Keep * 2, 16));
-    ++SweepCount;
-  }
 
 private:
   //===--------------------------------------------------------------------===
@@ -732,7 +686,7 @@ private:
   void drainPending() {
     while (!Pending.empty()) {
       size_t Best = Pending.size() - 1;
-      if (ActivityOrder && Pending.size() > 1) {
+      if (Pending.size() > 1) {
         // Highest activity first; ties break on the smaller (min, max)
         // term-serial pair, then queue position. Activity is a pure
         // function of the journaled closure state — never of popped
@@ -1090,7 +1044,6 @@ private:
 
   TermContext &Ctx;
   bool Logging = false;
-  bool ActivityOrder = true;
 
   std::vector<uint32_t> Parent; // Unreg = not registered
   std::vector<uint8_t> Rk;
@@ -1111,14 +1064,6 @@ private:
   std::vector<size_t> StepMarks;
   int ConflictDepth = -1;
   uint64_t UndoCount = 0;
-
-  // Depth-0 capacity sweep state (sweepAtDepthZero).
-  static constexpr size_t MinSweepBuckets = 1u << 10;
-  static constexpr uint32_t ColdEpochLimit = 4;
-  size_t EpochHighWater = 0;  ///< peak Sigs size this epoch (pop samples)
-  size_t StreakHighWater = 0; ///< peak across the current cold streak
-  uint32_t ColdStreak = 0;    ///< consecutive cold depth-0 epochs
-  uint64_t SweepCount = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -1132,13 +1077,7 @@ Solver::~Solver() = default;
 
 const SolverStats &Solver::stats() const {
   Stats.TrailUndos = Core->undoCount();
-  Stats.SigSweeps = Core->sigSweeps();
   return Stats;
-}
-
-void Solver::setActivityMergeOrder(bool On) {
-  assert(ScopeMarks.empty() && "merge order toggles only at scope depth 0");
-  Core->setActivityOrder(On);
 }
 
 void Solver::setIncrementalEnabled(bool On) {
@@ -1171,14 +1110,8 @@ void Solver::pop() {
       StackCount.erase(It);
   }
   StackLits.resize(Mark);
-  if (Incremental) {
+  if (Incremental)
     Core->popScope();
-    // Each return to depth 0 is a capacity-sweep epoch: the core's
-    // signature tables are empty again (every insert rewound), so this
-    // is the one safe point to release burst-sized bucket arrays.
-    if (ScopeMarks.empty())
-      Core->sweepAtDepthZero();
-  }
 }
 
 void Solver::assume(Lit L) {

@@ -196,7 +196,6 @@ struct SolverStats {
   uint64_t Pushes = 0;           ///< scopes opened
   uint64_t TrailUndos = 0;       ///< undo-trail entries reversed by pop()
   uint64_t ReasonLogBytes = 0;   ///< bytes of recorded reason trails
-  uint64_t SigSweeps = 0;        ///< depth-0 signature-table capacity sweeps
 };
 
 class IncrementalCore;
@@ -244,15 +243,6 @@ public:
   /// contradiction, retrievable via reasonTrails(). Off by default (the
   /// checker turns it on; the bench measures its overhead).
   void setLogEnabled(bool On);
-
-  /// Selects activity-driven pending-merge ordering (default) or the
-  /// historical LIFO drain. Activity is the watcher count of a merge's
-  /// two classes — a pure function of the journaled closure state, so
-  /// either ordering yields deterministic, stack-determined merge
-  /// sequences and identical verdicts (congruence closure is confluent).
-  /// The LIFO path is kept for the bench's A/B arm and differential
-  /// tests.
-  void setActivityMergeOrder(bool On);
 
   //===--------------------------------------------------------------------===
   // Scoped assertion stack

@@ -12,24 +12,23 @@
 /// (verify/pdr.h) both take the same frozen behavioral abstraction and
 /// produce certificates validated by the same independent checker.
 ///
-/// Portfolio mode races both engines per property. The verdict is still a
-/// deterministic, byte-identical function of (program, property, options)
-/// — the ROADMAP design decision every cache, parity test, and the daemon
-/// lean on — because selection follows a canonical *priority* rule rather
-/// than wall-clock order:
+/// Portfolio mode runs both engines per property, in sequence, in one
+/// session and under one budget. The verdict is a deterministic,
+/// byte-identical function of (program, property, options) — the ROADMAP
+/// design decision every cache, parity test, and the daemon lean on —
+/// because selection follows a canonical *priority* rule:
 ///
-///   1. if induction returns a sound verdict (Proved), it is served;
-///   2. otherwise, if PDR returns a sound verdict (Proved or a concretely
-///      confirmed Refuted), it is served;
-///   3. otherwise induction's Unknown is served (its failing obligation is
+///   1. induction runs first; if it returns a sound verdict (Proved), or
+///      the budget ends the attempt, that result is served and PDR never
+///      runs;
+///   2. otherwise PDR runs once; if it returns a sound verdict (Proved or
+///      a concretely confirmed Refuted) or a budget status, it is served;
+///   3. otherwise induction's result is served (its failing obligation is
 ///      the more actionable diagnostic).
 ///
-/// Racing only changes *when* the answer arrives: induction finishing
-/// with a proof cancels the still-running PDR attempt (its result could
-/// not have been selected); PDR finishing first never cancels induction
-/// (its result is only consulted after induction's is known). Engine
-/// choice joins the proof-cache options fingerprint, so entries produced
-/// by different engines never shadow each other.
+/// The served result's Millis covers both legs. Engine choice joins the
+/// proof-cache options fingerprint, so entries produced by different
+/// engines never shadow each other.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +50,8 @@ enum class EngineKind : uint8_t {
   /// Property-directed reachability over the same abstraction
   /// (verify/pdr.h).
   Pdr,
-  /// Race both; first sound verdict in canonical priority order wins.
+  /// Both in turn; the first sound verdict in canonical priority order
+  /// wins.
   Portfolio,
 };
 

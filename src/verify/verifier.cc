@@ -6,8 +6,6 @@
 #include "support/timer.h"
 #include "verify/pdr.h"
 
-#include <thread>
-
 namespace reflex {
 
 const char *verifyStatusName(VerifyStatus S) {
@@ -95,12 +93,10 @@ std::string VerificationReport::toJson() const {
     W.value(R.Millis);
     if (R.Status == VerifyStatus::Proved) {
       W.field("cert_checked", R.CertChecked);
-      // Audit trail for proof-cache hits: which re-validation accepted
-      // the entry (full obligation replay vs the fast hash-chain check).
+      // Audit trail for proof-cache hits: whether the checker re-validated
+      // the entry ("none" when certificate checking is off).
       if (R.CacheHit)
-        W.field("recheck", R.FastRecheck   ? "fast"
-                           : R.CertChecked ? "full"
-                                           : "none");
+        W.field("recheck", R.CertChecked ? "full" : "none");
     } else {
       W.field("reason", R.Reason);
     }
@@ -190,7 +186,6 @@ struct VerifySession::Impl {
         Abs(Frozen->behAbs()), BuildOutcome(Frozen->buildOutcome()),
         BuildReason(Frozen->buildReason()) {
     Solv.setMemoEnabled(Opts.CacheInvariants);
-    this->Shared = Shared;
     if (Shared) {
       Solv.setSharedMemo(&Shared->SolverMemo);
       Cache.Shared = &Shared->Invariants;
@@ -206,10 +201,6 @@ struct VerifySession::Impl {
   InvariantCache Cache;
   BudgetOutcome BuildOutcome = BudgetOutcome::Ok;
   std::string BuildReason;
-  /// The cross-worker cache tiers this session was attached to (if any);
-  /// remembered so the portfolio race can attach its PDR session to the
-  /// same tiers.
-  SharedVerifyCaches *Shared = nullptr;
 };
 
 VerifySession::VerifySession(const Program &P, const VerifyOptions &Opts)
@@ -389,54 +380,25 @@ PropertyResult VerifySession::verifyOne(const Property &Prop, Deadline &D,
 
 PropertyResult VerifySession::verifyPortfolio(const Property &Prop,
                                               Deadline &D) {
-  // The race: PDR runs on a second thread over its own session (private
-  // overlay context and solver — the frozen base and the shared cache
-  // tiers are the only cross-thread state, both designed for this), while
-  // induction runs here. The raced PDR attempt is a *prefetch*: its
-  // verdict decides whether the caller consults PDR at all, and its
-  // queries warm the shared solver memo, but the served PDR result is
-  // materialized in this session so its certificate terms live in this
-  // session's context (PropertyResult::Cert's lifetime contract).
-  // Selection follows the canonical priority rule of verify/engine.h, so
-  // the verdict is a function of (program, property, options) only.
-  auto PdrCancel = std::make_shared<CancelFlag>();
-  VerifyStatus RacedStatus = VerifyStatus::Unknown;
-  std::thread Racer([this, &Prop, &PdrCancel, &RacedStatus] {
-    VerifySession PdrS(I->Frozen, I->Shared);
-    PdrS.I->Opts.Engine = EngineKind::Pdr;
-    PdrS.I->Opts.Cancel = PdrCancel;
-    Deadline PdrD;
-    armDeadline(PdrD, PdrS.I->Opts);
-    RacedStatus = PdrS.verifyOne(Prop, PdrD, EngineKind::Pdr).Status;
-  });
-
-  PropertyResult IndR = verifyOne(Prop, D, EngineKind::Induction);
-  if (IndR.Status == VerifyStatus::Proved || isBudgetStatus(IndR.Status)) {
-    // Induction's sound verdict wins by priority — whatever PDR is still
-    // computing cannot be selected. A budget status likewise ends the
-    // attempt (not a verdict, for portfolio exactly as for a single
-    // engine); either way the racer's result is moot, so cancel it.
-    PdrCancel->cancel();
-    Racer.join();
-    return IndR;
-  }
-  Racer.join();
-
-  if (RacedStatus == VerifyStatus::Proved ||
-      RacedStatus == VerifyStatus::Refuted ||
-      isBudgetStatus(RacedStatus)) {
-    // PDR has (or, under a racer-side budget expiry, may have) a sound
-    // verdict induction lacks: re-derive it deterministically in this
-    // session. The raced attempt already warmed the shared memo, so the
-    // replay is mostly cache hits.
+  // The engines run in turn in this session, under the caller's one
+  // budget, and selection follows the canonical priority rule of
+  // verify/engine.h, so the verdict is a function of (program, property,
+  // options) only. The served result's Millis spans both legs.
+  WallTimer Timer;
+  PropertyResult R = verifyOne(Prop, D, EngineKind::Induction);
+  // Induction's Proved wins by priority; a budget status ends the attempt
+  // (not a verdict, for portfolio exactly as for a single engine).
+  if (R.Status != VerifyStatus::Proved && !isBudgetStatus(R.Status)) {
     PropertyResult PdrR = verifyOne(Prop, D, EngineKind::Pdr);
+    // PDR serves a sound verdict or a budget status; otherwise
+    // induction's result (with its BMC fallback already applied) stands
+    // as the more actionable diagnostic.
     if (PdrR.Status == VerifyStatus::Proved ||
         PdrR.Status == VerifyStatus::Refuted || isBudgetStatus(PdrR.Status))
-      return PdrR;
+      R = std::move(PdrR);
   }
-  // Neither engine is sound here: induction's Unknown (with its BMC
-  // fallback already applied) is the more actionable diagnostic.
-  return IndR;
+  R.Millis = Timer.elapsedMillis();
+  return R;
 }
 
 VerificationReport VerifySession::verifyAll() {

@@ -41,7 +41,7 @@ struct VerifyOptions {
   /// Re-check every certificate with the independent checker.
   bool CheckCertificates = true;
   /// Which proof engine serves trace properties (verify/engine.h):
-  /// induction (default), pdr, or portfolio (race both; canonical
+  /// induction (default), pdr, or portfolio (both in turn; canonical
   /// priority selection keeps verdicts deterministic). Part of the
   /// proof-cache options fingerprint: entries from different engines
   /// never shadow each other.
@@ -65,15 +65,6 @@ struct VerifyOptions {
   uint64_t TimeoutMillis = 0;
   uint64_t StepBudget = 0;
   std::shared_ptr<CancelFlag> Cancel;
-  /// Proof-cache re-check mode: when true, a cached Proved entry is
-  /// accepted after validating the certificate's hash chain (stored
-  /// SHA-256 of the canonical form) and structure, without replaying every
-  /// obligation through the checker. The report records which mode served
-  /// each hit ("recheck": "fast"/"full"), so audits can tell them apart.
-  /// Deliberately not part of the proof-cache options fingerprint: it
-  /// changes how much an entry is re-validated on reuse, not what the
-  /// proof looks like.
-  bool FastCacheRecheck = false;
 };
 
 /// Proved/Refuted/Unknown are the verdicts of the paper's automation.
@@ -113,9 +104,9 @@ struct PropertyResult {
   /// True when the verdict was served by the persistent proof cache (and,
   /// for Proved, re-validated by the independent checker).
   bool CacheHit = false;
-  /// Proved cache hits only: the entry was accepted by the fast hash-chain
-  /// validation (VerifyOptions::FastCacheRecheck) instead of a full
-  /// obligation replay. Always false when CertChecked is true.
+  /// Always false. Kept so existing readers of the field still compile:
+  /// every Proved cache hit is re-checked in full (CertChecked), there is
+  /// no lighter re-check mode any more.
   bool FastRecheck = false;
   /// Cache hits only: the entry was stored for a *different* version of
   /// the program and validated footprint-relatively (the edit was
@@ -278,7 +269,8 @@ public:
 private:
   /// One engine, no dispatch: the shared tail of every verify() call.
   PropertyResult verifyOne(const Property &Prop, Deadline &D, EngineKind Eng);
-  /// The portfolio race (see verify/engine.h for the selection rule).
+  /// The portfolio: induction, then PDR if needed (see verify/engine.h
+  /// for the selection rule).
   PropertyResult verifyPortfolio(const Property &Prop, Deadline &D);
 
   struct Impl;

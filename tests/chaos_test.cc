@@ -452,6 +452,85 @@ TEST(Chaos, TamperedJournalCertificateIsReverifiedNeverServed) {
   expectResultsMatch(Edit, Want, "post-tamper edit");
 }
 
+TEST(Chaos, JournalFromOlderDaemonWithFastCacheOptionStillRecovers) {
+  // Daemons once journaled a `fast_cache` option in each session's
+  // open-session frame. The option is gone; the decoder ignores unknown
+  // option keys, so such a journal still recovers, and every Proved
+  // verdict comes back re-checked by the certificate checker.
+  std::string CacheDir = tempDir("chaos_oldopts");
+  const kernels::KernelDef &K = kernels::ssh2();
+  ProgramPtr P = kernels::load(K);
+  VerificationReport Want = freshReport(*P);
+
+  {
+    DaemonOptions O;
+    O.SocketPath = sockPath("old1");
+    O.CacheDir = CacheDir;
+    TestDaemon TD(O);
+    ASSERT_NE(TD.D, nullptr);
+    DaemonClient C = mustConnect(TD.D->socketPath());
+    ASSERT_TRUE(mustCall(C, frame("open-session", "warm", K.Source))
+                    .getBool("ok"));
+  }
+
+  // Rewrite the session record as an older daemon wrote it: the same
+  // open-session frame plus "fast_cache": true, under a valid checksum.
+  std::string Path = CacheDir + "/verdicts.journal";
+  std::istringstream In(slurp(Path));
+  std::string Line, Rebuilt;
+  bool Rewritten = false;
+  while (std::getline(In, Line)) {
+    size_t Sp2 = Line.find(' ', Line.find(' ') + 1);
+    ASSERT_NE(Sp2, std::string::npos);
+    std::string Payload = Line.substr(Sp2 + 1);
+    Result<JsonValue> Doc = parseJson(Payload);
+    ASSERT_TRUE(Doc.ok());
+    if (Doc->getString("type") == "session") {
+      std::string Frame = Doc->getString("frame");
+      size_t At = Frame.find("\"no_check\":");
+      ASSERT_NE(At, std::string::npos) << Frame;
+      Frame.insert(At, "\"fast_cache\":true,");
+      JsonWriter W;
+      W.beginObject();
+      W.field("type", "session");
+      W.field("session", Doc->getString("session"));
+      W.field("frame", Frame);
+      W.field("decl_sha256", Doc->getString("decl_sha256"));
+      W.endObject();
+      Payload = W.take();
+      Rewritten = true;
+    }
+    Rebuilt += VerdictJournal::encodeRecord(Payload) + "\n";
+  }
+  ASSERT_TRUE(Rewritten) << "no journaled session found";
+  spit(Path, Rebuilt);
+
+  DaemonOptions O;
+  O.SocketPath = sockPath("old2");
+  O.CacheDir = CacheDir;
+  TestDaemon TD(O);
+  ASSERT_NE(TD.D, nullptr);
+  DaemonClient C = mustConnect(TD.D->socketPath());
+  JsonValue S = mustCall(C, frame("stats"));
+  const JsonValue *J = S.get("journal");
+  ASSERT_NE(J, nullptr);
+  EXPECT_EQ(J->getNumber("sessions_recovered"), 1.0);
+  EXPECT_EQ(J->getNumber("verdicts_rejected"), 0.0);
+
+  JsonValue Edit = mustCall(C, frame("edit", "warm", K.Source));
+  ASSERT_TRUE(Edit.getBool("ok")) << Edit.getString("error");
+  EXPECT_EQ(Edit.getNumber("reverified"), 0.0);
+  expectResultsMatch(Edit, Want, "old-journal edit");
+  const JsonValue *Results = Edit.get("results");
+  ASSERT_NE(Results, nullptr);
+  for (const JsonValue &R : Results->items()) {
+    EXPECT_EQ(R.get("fast_recheck"), nullptr);
+    if (R.getString("status") == "Proved") {
+      EXPECT_TRUE(R.getBool("cert_checked")) << R.getString("name");
+    }
+  }
+}
+
 TEST(Chaos, ClosedSessionsAreNotResurrectedByRecovery) {
   std::string CacheDir = tempDir("chaos_closed");
   const kernels::KernelDef &K = kernels::car();
@@ -623,12 +702,17 @@ TEST(Chaos, InFlightCapShedsStructurallyAndRetryingClientsSucceed) {
   ASSERT_NE(TD.D, nullptr);
   const std::string Socket = TD.D->socketPath();
 
-  // Occupy the single slot with a deliberately long verify (a 140-stage
-  // chain runs for over a second) whose response we do not read yet.
-  std::string Slow = kernels::syntheticChainKernel(140);
+  // Occupy the single slot with a deliberately long verify whose response
+  // we do not read yet. It runs on one worker, so its length does not
+  // shrink with the core count: a 200-stage chain at jobs 1 takes about
+  // 1.4 s on a 4-core x86-64 host, several times the 250 ms head start.
+  std::string Slow = kernels::syntheticChainKernel(200);
   Result<DaemonClient> A = DaemonClient::connect(Socket);
   ASSERT_TRUE(A.ok()) << A.error();
-  ASSERT_TRUE(A->socket().sendAll(frame("verify", "", Slow) + "\n").ok());
+  ASSERT_TRUE(
+      A->socket()
+          .sendAll(frame("verify", "", Slow, R"({"jobs":1})") + "\n")
+          .ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
 
   // A second verify is shed with the structured overload error...
@@ -656,7 +740,7 @@ TEST(Chaos, InFlightCapShedsStructurallyAndRetryingClientsSucceed) {
   // The accepted slow request was never dropped: its full response is
   // still there to read.
   std::string FrameA;
-  // Only requests are frame-capped; a 279-property response is larger.
+  // Only requests are frame-capped; a 399-property response is larger.
   Result<bool> Got = A->socket().readLine(FrameA, 256u << 20);
   ASSERT_TRUE(Got.ok()) << Got.error();
   ASSERT_TRUE(*Got);

@@ -217,6 +217,21 @@ TEST(Cli, BadUsage) {
   EXPECT_NE(BadNum.Output.find("needs a number"), std::string::npos);
 }
 
+TEST(Cli, UnknownFlagsAreRejected) {
+  // A typo, or a flag that no longer exists, must not silently run
+  // another configuration: one error line, exit 2.
+  std::string Path = writeTemp(GoodKernel, "unknownflags.rfx");
+  for (const char *Flag : {"--no-chek", "--fast-cache"}) {
+    CliResult Bad = runCli("verify " + Path + " " + Flag);
+    EXPECT_EQ(Bad.ExitCode, 2) << Flag << "\n" << Bad.Output;
+    EXPECT_EQ(Bad.Output, "error: unknown option '" + std::string(Flag) +
+                              "' for 'verify'\n");
+  }
+  // Flags are checked per command: --quiet belongs to run, not verify.
+  EXPECT_EQ(runCli("verify " + Path + " --quiet").ExitCode, 2);
+  EXPECT_EQ(runCli("run " + Path + " --steps 5 --quiet").ExitCode, 0);
+}
+
 TEST(Cli, BudgetFlagsRejectNonNumericValues) {
   std::string Path = writeTemp(GoodKernel, "budgetflags.rfx");
   for (const char *Flag :

@@ -11,6 +11,14 @@
 #include "test_util.h"
 
 namespace reflex {
+namespace kernels {
+
+// Prints a KernelProofs parameter by name rather than by address, so the
+// listed test names are the same on every build.
+void PrintTo(const KernelDef *K, std::ostream *OS) { *OS << K->Name; }
+
+} // namespace kernels
+
 namespace {
 
 TEST(Kernels, FortyOnePropertiesTotal) {

@@ -22,6 +22,12 @@ struct Mutation {
   size_t BmcDepth; // 0: NI property, no single-trace counterexample
 };
 
+// Prints a parameter by kernel and property rather than as raw bytes (its
+// string pointers), so the listed test names are the same on every build.
+void PrintTo(const Mutation &M, std::ostream *OS) {
+  *OS << M.Kernel << "/" << M.Property;
+}
+
 class MutationTest : public ::testing::TestWithParam<Mutation> {};
 
 TEST_P(MutationTest, MutantRejectedAndRefuted) {

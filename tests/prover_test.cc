@@ -10,6 +10,7 @@
 #include "test_util.h"
 
 #include "kernels/kernels.h"
+#include "support/timer.h"
 
 namespace reflex {
 namespace {
@@ -445,6 +446,26 @@ TEST(Pdr, SeparatesFromInductionOnPdrlock) {
       << "the portfolio must serve the PDR proof byte-identically";
 }
 
+TEST(Pdr, PortfolioMillisSpansBothEngines) {
+  // On pdrlock induction gives up and PDR proves, so the portfolio runs
+  // both legs; the served result's Millis must cover both, not only the
+  // leg that produced the verdict.
+  ProgramPtr P = kernels::load(kernels::pdrlock());
+  ASSERT_NE(P, nullptr);
+  const Property *Prop = P->findProperty("RogueNeedsBlessing");
+  ASSERT_NE(Prop, nullptr);
+  VerifyOptions Port;
+  Port.Engine = EngineKind::Portfolio;
+  VerifySession S(*P, Port);
+  WallTimer Timer;
+  PropertyResult R = S.verify(*Prop);
+  double Wall = Timer.elapsedMillis();
+  EXPECT_EQ(R.Status, VerifyStatus::Proved) << R.Reason;
+  EXPECT_EQ(R.ServedBy, "pdr");
+  EXPECT_GE(R.Millis, 0.9 * Wall)
+      << "reported " << R.Millis << " ms of " << Wall << " ms wall time";
+}
+
 TEST(Pdr, AgreesWithInductionOnLocallyDischargeable) {
   // A property every engine discharges without frames: the obligation
   // scan (shared with induction) finds the trigger in the same path, so
@@ -556,8 +577,8 @@ TEST(Pdr, RefutesWithConcreteConfirmedTrace) {
 
 TEST(Pdr, PortfolioPrefersInductionWhenBothProve) {
   // Canonical selection: when induction proves, its certificate is
-  // served regardless of which engine finished first (verdicts must be
-  // functions of (program, property, options), not of the race).
+  // served and PDR never runs (verdicts must be functions of (program,
+  // property, options)).
   std::string Src = std::string(Pingpong) + R"(
 handler A => Ping(n) {
   send(Y, Pong(n));
@@ -588,8 +609,9 @@ TEST(Pdr, NonTracePropertiesFallBackToInduction) {
     VerificationReport Rep = verifyProgram(*P, O);
     for (const PropertyResult &R : Rep.Results) {
       const Property *Prop = P->findProperty(R.Name);
-      if (Prop && !Prop->isTrace())
+      if (Prop && !Prop->isTrace()) {
         EXPECT_EQ(R.ServedBy, "induction") << R.Name;
+      }
     }
   }
 }

@@ -1397,9 +1397,9 @@ TEST(Scheduler, PdrVerdictsDeterministicAcrossWorkersAndSharing) {
 }
 
 TEST(Scheduler, PortfolioVerdictsDeterministicAcrossWorkersAndSharing) {
-  // The race's timing must be erased by the canonical selection rule:
-  // statuses, reasons, serving engines, and certificate bytes all agree
-  // across worker counts and the sharing toggle.
+  // The canonical selection rule makes portfolio verdicts independent
+  // of scheduling: statuses, reasons, serving engines, and certificate
+  // bytes all agree across worker counts and the sharing toggle.
   std::vector<std::string> Base =
       runEngineBatch(EngineKind::Portfolio, 1, true);
   EXPECT_EQ(Base, runEngineBatch(EngineKind::Portfolio, 4, true));

@@ -136,17 +136,15 @@ TEST_F(SolverTest, MemoIsSemanticallyInvisible) {
 
 TEST_F(SolverTest, MergeOrderParityAcrossDrainPolicies) {
   // Activity-driven pending-merge ordering must be verdict-invisible:
-  // congruence closure is confluent, so the activity-ordered drain, the
-  // historical LIFO drain, and the from-scratch reference algorithm
-  // agree on every query. Random literal sets over a small term algebra
-  // exercise congruence cascades (shared subterms) and conflicts.
+  // congruence closure is confluent, so the activity-ordered drain and
+  // the from-scratch reference algorithm agree on every query. Random
+  // literal sets over a small term algebra exercise congruence cascades
+  // (shared subterms) and conflicts.
   Rng Rand(20260808);
   for (int Round = 0; Round < 200; ++Round) {
     TermContext C;
-    Solver Act(C), Lifo(C), Ref(C);
+    Solver Act(C), Ref(C);
     Act.setMemoEnabled(false);
-    Lifo.setMemoEnabled(false);
-    Lifo.setActivityMergeOrder(false);
     Ref.setMemoEnabled(false);
     Ref.setIncrementalEnabled(false);
     TermRef V[4] = {C.stateSym("x", BaseType::Num),
@@ -164,45 +162,8 @@ TEST_F(SolverTest, MergeOrderParityAcrossDrainPolicies) {
     for (unsigned I = 0, N = 3 + Rand.below(8); I < N; ++I)
       Ls.push_back(Lit(C.eq(Term(), Term()), Rand.below(4) != 0));
     SatResult RA = Act.checkLits(Ls);
-    SatResult RL = Lifo.checkLits(Ls);
     SatResult RR = Ref.checkLits(Ls);
-    ASSERT_EQ(RA, RL) << "activity vs lifo drain disagree, round " << Round;
     ASSERT_EQ(RA, RR) << "incremental vs reference disagree, round " << Round;
-  }
-}
-
-TEST_F(SolverTest, DepthZeroCapacitySweepIsVerdictNeutral) {
-  // A burst of large queries inflates the watched-term signature tables;
-  // once the workload shrinks, consecutive cold depth-0 epochs trigger
-  // the capacity sweep (SolverStats::SigSweeps). The sweep only releases
-  // empty-table bucket arrays, so queries before and after it answer
-  // identically.
-  S.setMemoEnabled(false);
-  TermRef X = sym("x"), Y = sym("y");
-  {
-    // Burst epoch: ~2400 signature-bearing terms in one scope.
-    Solver::Scope Sc(S);
-    for (int I = 0; I < 800; ++I)
-      S.assume(eq(Ctx.add(X, Ctx.numLit(I)), Ctx.add(Y, Ctx.numLit(I))));
-    EXPECT_EQ(S.check(), SatResult::Maybe);
-  }
-  EXPECT_EQ(S.stats().SigSweeps, 0u) << "burst epoch is warm";
-  for (int Epoch = 0; Epoch < 6; ++Epoch) {
-    Solver::Scope Sc(S, {eq(X, Ctx.numLit(1))});
-    EXPECT_FALSE(S.maybeSatUnder({eq(X, Ctx.numLit(2))}));
-    EXPECT_TRUE(S.maybeSatUnder({eq(Y, Ctx.numLit(2))}));
-  }
-  EXPECT_GE(S.stats().SigSweeps, 1u)
-      << "consecutive cold epochs release burst capacity";
-  // Post-sweep, a fresh burst re-grows the tables and still solves
-  // correctly.
-  {
-    Solver::Scope Sc(S);
-    for (int I = 0; I < 800; ++I)
-      S.assume(eq(Ctx.add(X, Ctx.numLit(I)), Ctx.add(Y, Ctx.numLit(I))));
-    S.assume(eq(X, Ctx.numLit(1)));
-    S.assume(eq(X, Ctx.numLit(2)));
-    EXPECT_EQ(S.check(), SatResult::Unsat);
   }
 }
 

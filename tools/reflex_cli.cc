@@ -36,6 +36,7 @@
 
 #include <iostream>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -45,6 +46,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -65,17 +67,15 @@ int usage() {
       "  verify   prove every property of the program fully automatically\n"
       "           options: --no-skip --no-simplify --no-cache --no-check\n"
       "                    --engine induction|pdr|portfolio (which proof\n"
-      "                    engine serves trace properties; portfolio races\n"
-      "                    both, see docs/ENGINES.md)\n"
+      "                    engine serves trace properties; portfolio runs\n"
+      "                    induction, then PDR if induction cannot prove\n"
+      "                    the property, see docs/ENGINES.md)\n"
       "                    --bmc-depth N (refute Unknowns)  --certs FILE\n"
       "                    --json FILE (machine-readable report)\n"
       "                    --jobs N (parallel verification; 0 = all cores)\n"
       "                    --cache-dir PATH (persistent proof cache;\n"
       "                    cached proofs are re-checked by the certificate\n"
       "                    checker before reuse)\n"
-      "                    --fast-cache (accept cached proofs after the\n"
-      "                    hash-chain + structural validation instead of a\n"
-      "                    full obligation replay)\n"
       "                    --audit-footprints (re-prove every verdict that\n"
       "                    was served from a cache or footprint instead of\n"
       "                    a fresh proof search; any disagreement aborts\n"
@@ -174,6 +174,43 @@ bool takesValue(const std::string &Key) {
          Key == "--scale" || Key == "--out";
 }
 
+/// The flags each command reads (whether a flag takes a value is
+/// takesValue's call). A flag outside its command's list is rejected, so
+/// a typo never silently runs another configuration.
+const std::map<std::string, std::vector<std::string>> CommandFlags = {
+    {"verify",
+     {"--no-skip", "--no-simplify", "--no-cache", "--no-check", "--engine",
+      "--bmc-depth", "--certs", "--json", "--jobs", "--cache-dir",
+      "--audit-footprints", "--no-share", "--timeout-ms", "--step-budget",
+      "--retries", "--fault-seed"}},
+    {"bmc", {"--property", "--depth"}},
+    {"run", {"--steps", "--seed", "--quiet"}},
+    {"print", {}},
+    {"info", {}},
+    {"cache-gc", {"--cache-dir"}},
+    {"daemon",
+     {"--socket", "--jobs", "--cache-dir", "--max-sessions",
+      "--request-timeout-ms", "--auto-gc", "--no-journal", "--max-clients",
+      "--max-inflight", "--retry-after-ms", "--io-timeout-ms",
+      "--drain-cancel-ms", "--supervise", "--max-restarts",
+      "--restart-window-ms"}},
+    {"gen", {"--seed", "--scale", "--out", "--check", "--jobs"}},
+    {"client", {"--socket", "--frame"}},
+};
+
+/// A flag in \p A that its command does not read, if any. Unknown
+/// commands are main's to report.
+std::optional<std::string> unknownFlag(const Args &A) {
+  auto It = CommandFlags.find(A.Command);
+  if (It == CommandFlags.end())
+    return std::nullopt;
+  const std::vector<std::string> &Known = It->second;
+  for (const auto &Opt : A.Options)
+    if (std::find(Known.begin(), Known.end(), Opt.first) == Known.end())
+      return Opt.first;
+  return std::nullopt;
+}
+
 /// daemon/client/gen take no .rfx file — everything is options.
 bool fileLess(const std::string &Command) {
   return Command == "daemon" || Command == "client" || Command == "gen";
@@ -232,7 +269,6 @@ int cmdVerify(const Args &A, const Program &P) {
   Opts.BmcDepthOnUnknown = numOption(A, "--bmc-depth", 0);
   Opts.TimeoutMillis = numOption(A, "--timeout-ms", 0);
   Opts.StepBudget = numOption(A, "--step-budget", 0);
-  Opts.FastCacheRecheck = A.Options.count("--fast-cache") != 0;
   if (auto It = A.Options.find("--engine"); It != A.Options.end()) {
     std::optional<EngineKind> K = parseEngineKind(It->second);
     if (!K) {
@@ -749,6 +785,11 @@ int main(int Argc, char **Argv) {
   if (!A.ok()) {
     std::fprintf(stderr, "error: %s\n", A.error().c_str());
     return usage();
+  }
+  if (std::optional<std::string> Bad = unknownFlag(*A)) {
+    std::fprintf(stderr, "error: unknown option '%s' for '%s'\n",
+                 Bad->c_str(), A->Command.c_str());
+    return 2;
   }
 
   // File-less commands dispatch before any program is loaded.

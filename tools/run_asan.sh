@@ -13,9 +13,8 @@
 #                               in --smoke mode (one repetition)
 #   * tests/certificate_test  — certificate tampering/truncation incl.
 #                               the PDR clausal certificates
-#   * bench/bench_portfolio   — every kernel under every engine (the
-#                               portfolio race allocates across threads),
-#                               in --smoke mode
+#   * bench/bench_portfolio   — every kernel under every engine at 1 and
+#                               4 workers, in --smoke mode
 #   * tests/chaos_test        — torn/tampered journal replay, kill -9
 #                               recovery, shedding, supervised restarts
 #   * tests/solver_test       — the incremental core's undo trail and

@@ -9,8 +9,8 @@
 #                               per-request watcher threads, shared sessions
 #   * bench/bench_parallel    — the full 41-property suite on 4 workers,
 #                               in --smoke mode (one repetition)
-#   * tests/prover_test       — the portfolio's engine race (PDR on a
-#                               background session vs induction)
+#   * tests/prover_test       — the PDR engine and the (sequential)
+#                               portfolio
 #   * bench/bench_portfolio   — every kernel under every engine at 1 and
 #                               4 workers, in --smoke mode
 #   * tests/chaos_test        — journal appends from handler threads,
