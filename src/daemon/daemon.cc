@@ -194,15 +194,16 @@ void ReflexDaemon::recoverFromJournal(const JournalReplay &Replay) {
           ++VerdictsBad;
           continue;
         }
-        // The full-recheck memo (keyed exactly like the proof cache's)
-        // deduplicates across sessions recovering the same program, and
-        // conversely pre-warms later cache hits on this key.
+        // The full-recheck memo (keyed exactly like the proof cache's,
+        // and serving only a byte-identical certificate) deduplicates
+        // across sessions recovering the same program, and conversely
+        // pre-warms later cache hits on this key.
         std::string MemoKey;
         if (Cache)
           MemoKey = ProofCache::keyFor(Fps.DeclFp, *Prop, Sess->Verify) +
-                    ":" + Fps.HandlersFp + ":" +
-                    Cache->memoizedDigest(V.CanonicalCert);
-        if (!MemoKey.empty() && Cache->fullRecheckMemoized(MemoKey)) {
+                    ":" + Fps.HandlersFp + ":" + V.ServedBy;
+        if (!MemoKey.empty() &&
+            Cache->fullRecheckMemoized(MemoKey, V.CanonicalCert)) {
           R.CertJson = V.CertJson;
         } else {
           if (!VS)
@@ -210,7 +211,8 @@ void ReflexDaemon::recoverFromJournal(const JournalReplay &Replay) {
           RecheckOutcome Chk =
               checkCanonicalCertificate(VS->termContext(), *Sess->Prog,
                                         VS->behAbs(), *Prop,
-                                        V.CanonicalCert, RecheckOpts);
+                                        V.CanonicalCert, V.ServedBy,
+                                        RecheckOpts);
           if (!Chk.Ok) {
             ++VerdictsBad;
             continue;
@@ -223,7 +225,7 @@ void ReflexDaemon::recoverFromJournal(const JournalReplay &Replay) {
                 V.FootprintAll ? std::vector<std::string>{"*"} : V.Footprint;
           R.CertJson = Chk.Rederived.toJson(VS->termContext());
           if (!MemoKey.empty())
-            Cache->noteFullRecheckOk(MemoKey);
+            Cache->noteFullRecheckOk(MemoKey, V.CanonicalCert);
         }
         R.CertChecked = true;
       }

@@ -41,7 +41,7 @@ constexpr int64_t EntryVersion = 3;
 /// The GC manifest's filename. Lives beside the entries (same .json
 /// extension a key file has, but keys are 64 hex chars, so no collision);
 /// the directory scans skip it by name.
-// Deliberately not *.json: directory scans (preload, gc, tests) treat
+// Deliberately not *.json: directory scans (gc, tests) treat
 // every .json file as a cache entry, and the manifest is not one.
 constexpr const char *GcManifestName = "gc.manifest";
 
@@ -49,7 +49,7 @@ constexpr const char *GcManifestName = "gc.manifest";
 /// would treat as damage (unparsable, junk status, proved without
 /// certificate) — and for other-version entries, which additionally set
 /// \p Stale so lookup() reports a plain miss instead of quarantining.
-/// Shared by lookup() and the open()-time preload.
+/// Shared by lookup() and gc().
 std::optional<ProofCacheEntry> decodeEntry(const std::string &Bytes,
                                            bool *Stale = nullptr) {
   Result<JsonValue> Doc = parseJson(Bytes);
@@ -179,42 +179,7 @@ Result<std::unique_ptr<ProofCache>> ProofCache::open(const std::string &Dir) {
 
   auto Cache = std::unique_ptr<ProofCache>(new ProofCache(Dir));
   Cache->S.SweptTmp = Swept;
-  Cache->preloadIndex();
   return Cache;
-}
-
-void ProofCache::preloadIndex() {
-  // One stat+read pass over the directory: every decodable entry goes
-  // into the in-memory index with the (size, mtime) signature it had
-  // right now. Undecodable files are left alone — damage handling (with
-  // its quarantine + counter semantics) belongs to lookup(), which a
-  // damaged entry still reaches because it is simply not indexed.
-  std::error_code EC;
-  for (const fs::directory_entry &DE : fs::directory_iterator(Dir, EC)) {
-    if (!DE.is_regular_file(EC))
-      continue;
-    const fs::path &P = DE.path();
-    if (P.extension() != ".json" || P.filename() == GcManifestName)
-      continue;
-    std::error_code SzEC, MtEC;
-    uintmax_t Size = fs::file_size(P, SzEC);
-    fs::file_time_type MTime = fs::last_write_time(P, MtEC);
-    if (SzEC || MtEC)
-      continue;
-    std::ifstream In(P, std::ios::binary);
-    if (!In)
-      continue;
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    std::optional<ProofCacheEntry> E = decodeEntry(Buf.str());
-    if (!E)
-      continue;
-    IndexedEntry IE;
-    IE.Size = Size;
-    IE.MTime = MTime;
-    IE.Entry = std::move(*E);
-    Index.emplace(P.stem().string(), std::move(IE));
-  }
 }
 
 std::string ProofCache::optionsFingerprint(const VerifyOptions &Opts) {
@@ -246,29 +211,6 @@ std::string ProofCache::pathFor(const std::string &Key) const {
 
 std::optional<ProofCacheEntry> ProofCache::lookup(const std::string &Key) {
   WallTimer DecodeTimer;
-  // Fast path: the open()-time index, re-validated against the file's
-  // current stat signature so an entry overwritten, tampered with, or
-  // quarantined since open never gets served stale. Skipped while a
-  // fault plan is attached — injected IO faults must see real file IO.
-  if (!Faults) {
-    std::lock_guard<std::mutex> Lock(IndexMu);
-    auto It = Index.find(Key);
-    if (It != Index.end()) {
-      std::error_code SzEC, MtEC;
-      fs::path P = pathFor(Key);
-      uintmax_t Size = fs::file_size(P, SzEC);
-      fs::file_time_type MTime = fs::last_write_time(P, MtEC);
-      if (!SzEC && !MtEC && Size == It->second.Size &&
-          MTime == It->second.MTime) {
-        noteDecodeMillis(DecodeTimer.elapsedMillis());
-        return It->second.Entry;
-      }
-      // The file changed (or vanished) since open: drop the snapshot and
-      // take the disk path below, where damage handling lives.
-      Index.erase(It);
-    }
-  }
-
   FaultyIO IO(Faults);
   Result<std::string> Bytes = IO.readFile(pathFor(Key), Key);
   if (!Bytes.ok()) {
@@ -297,12 +239,6 @@ std::optional<ProofCacheEntry> ProofCache::lookup(const std::string &Key) {
 }
 
 void ProofCache::quarantine(const std::string &Key) {
-  {
-    // The on-disk entry is about to move aside; the open()-time snapshot
-    // of it must go with it.
-    std::lock_guard<std::mutex> Lock(IndexMu);
-    Index.erase(Key);
-  }
   std::error_code EC;
   fs::path QDir = fs::path(Dir) / "quarantine";
   fs::create_directories(QDir, EC);
@@ -542,12 +478,10 @@ ProofCache::gc(const std::set<std::string> &LiveDeclSha256) {
     }
     std::error_code RmEC;
     if (!fs::remove(P, RmEC) || RmEC) {
-      ++Out.Kept; // could not delete: leave it indexed and findable
+      ++Out.Kept; // could not delete: it stays findable
       continue;
     }
     ++Out.Dropped;
-    std::lock_guard<std::mutex> Lock(IndexMu);
-    Index.erase(P.stem().string());
   }
   boundQuarantine(Out);
   std::lock_guard<std::mutex> Lock(Mu);
@@ -616,22 +550,17 @@ void ProofCache::noteRecheckMillis(double Ms) {
   S.RecheckMillis += Ms;
 }
 
-bool ProofCache::fullRecheckMemoized(const std::string &MemoKey) const {
+bool ProofCache::fullRecheckMemoized(const std::string &MemoKey,
+                                     const std::string &CanonicalCert) const {
   std::lock_guard<std::mutex> Lock(RecheckMu);
-  return RecheckOk.count(MemoKey) != 0;
+  auto It = RecheckOk.find(MemoKey);
+  return It != RecheckOk.end() && It->second == CanonicalCert;
 }
 
-void ProofCache::noteFullRecheckOk(const std::string &MemoKey) {
+void ProofCache::noteFullRecheckOk(const std::string &MemoKey,
+                                   const std::string &CanonicalCert) {
   std::lock_guard<std::mutex> Lock(RecheckMu);
-  RecheckOk.insert(MemoKey);
-}
-
-std::string ProofCache::memoizedDigest(const std::string &CanonicalCert) {
-  std::lock_guard<std::mutex> Lock(DigestMu);
-  auto It = DigestMemo.find(CanonicalCert);
-  if (It == DigestMemo.end())
-    It = DigestMemo.emplace(CanonicalCert, sha256Hex(CanonicalCert)).first;
-  return It->second;
+  RecheckOk.insert_or_assign(MemoKey, CanonicalCert);
 }
 
 PropertyResult verifyPropertyCached(
@@ -735,16 +664,14 @@ PropertyResult verifyPropertyCached(
       ServeHit(R);
       return R;
     }
-    // Full-mode memo: replaying a byte-identical certificate against
-    // byte-identical handler bodies is deterministic, so once this
-    // process has accepted (key, handler bodies, certificate content),
-    // later hits are served without rebuilding a session or replaying
-    // obligations — this is what keeps warm full-mode re-checking
-    // cheaper than re-proving.
-    std::string MemoKey =
-        Key + ":" + Fps->HandlersFp + ":" +
-        Cache->memoizedDigest(E->CanonicalCert);
-    if (Cache->fullRecheckMemoized(MemoKey)) {
+    // Full-mode memo: replaying a byte-identical certificate with the
+    // same engine against byte-identical handler bodies is deterministic,
+    // so once this process has accepted this certificate under (key,
+    // handler bodies, engine), later hits are served without rebuilding a
+    // session or replaying obligations — this is what keeps warm
+    // full-mode re-checking cheaper than re-proving.
+    std::string MemoKey = Key + ":" + Fps->HandlersFp + ":" + E->ServedBy;
+    if (Cache->fullRecheckMemoized(MemoKey, E->CanonicalCert)) {
       PropertyResult R;
       R.Status = VerifyStatus::Proved;
       R.CertJson = std::move(E->CertJson);
@@ -758,10 +685,10 @@ PropertyResult verifyPropertyCached(
     WallTimer RecheckTimer;
     RecheckOutcome Chk = checkCanonicalCertificate(
         Live.termContext(), Live.program(), Live.behAbs(), Prop,
-        E->CanonicalCert, RecheckOpts);
+        E->CanonicalCert, E->ServedBy, RecheckOpts);
     Cache->noteRecheckMillis(RecheckTimer.elapsedMillis());
     if (Chk.Ok) {
-      Cache->noteFullRecheckOk(MemoKey);
+      Cache->noteFullRecheckOk(MemoKey, E->CanonicalCert);
       PropertyResult R;
       R.Status = VerifyStatus::Proved;
       R.Cert = std::move(Chk.Rederived);

@@ -35,10 +35,15 @@
 /// hash-consed terms, so a cached proof cannot be rehydrated into a live
 /// session; instead, a hit for a proved property is only served after
 /// checkCanonicalCertificate re-runs the deterministic derivation in the
-/// live session and confirms its canonical form matches the cached
-/// certificate byte-for-byte. A corrupt, tampered, or simply stale entry
-/// fails that comparison and the property is re-verified in full (and the
-/// entry overwritten). What a warm hit buys is skipping the independent
+/// live session, with the engine the entry names (`served_by`), and
+/// confirms its canonical form matches the cached certificate
+/// byte-for-byte. A corrupt, tampered, or simply stale entry fails that
+/// comparison — a wrong `served_by` included, since another engine
+/// re-derives another canonical form — and the property is re-verified
+/// in full (and the entry quarantined, then overwritten). Every lookup
+/// reads its entry from disk; nothing decoded is kept between lookups
+/// except the full-recheck memo, which holds certificates this process
+/// has itself accepted. What a warm hit buys is skipping the independent
 /// checker pass (the comparison subsumes it) and skipping BMC refutation
 /// searches for cached Unknowns — and, through the incremental verifier,
 /// carrying verdicts across process restarts.
@@ -58,7 +63,6 @@
 #include "verify/footprint.h"
 #include "verify/verifier.h"
 
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -66,7 +70,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace reflex {
 
@@ -122,14 +125,10 @@ public:
   /// at open predates this process; a *concurrent* process sharing the
   /// directory could in the worst case lose an in-flight store — which
   /// costs a re-verification, never a wrong verdict).
-  /// Opening also preloads every decodable entry into an in-memory index
-  /// in one stat+read pass, so warm batch lookups are served from memory
-  /// (each hit re-validated against the file's current size/mtime
-  /// signature — an entry that changed on disk falls back to a fresh
-  /// read). The index is deliberately *not* maintained by store(): it is
-  /// a snapshot of the directory at open time, which keeps every
-  /// freshly-written or externally-modified entry on the read-from-disk
-  /// path where damage detection lives.
+  /// Opening reads no entries: each lookup() reads and decodes just the
+  /// file its key names, so opening costs the same however many entries
+  /// the directory holds, and a request pays only for its own program's
+  /// entries (plus the directory scan of the tmp sweep).
   static Result<std::unique_ptr<ProofCache>> open(const std::string &Dir);
 
   const std::string &directory() const { return Dir; }
@@ -276,27 +275,27 @@ public:
   const PathFingerprints &pathFingerprintsFor(const std::string &MemoKey,
                                               VerifySession &Live);
 
-  /// The content digest of a canonical certificate, memoized by the
-  /// certificate content itself (one SHA-256 per distinct certificate per
-  /// process). Keys the full-recheck memo below.
-  std::string memoizedDigest(const std::string &CanonicalCert);
-
-  /// The full-recheck memo: once checkCanonicalCertificate has accepted a
-  /// certificate against a given program (identified by \p MemoKey —
-  /// cache key + handler-body digest + certificate digest), replaying the
-  /// byte-identical certificate against the byte-identical program is
-  /// guaranteed to accept again (the derivation is deterministic), so
-  /// later warm hits skip the replay. This is what keeps warm full-mode
-  /// re-checking cheaper than re-proving: each distinct certificate is
-  /// replayed through the checker at most once per process.
-  bool fullRecheckMemoized(const std::string &MemoKey) const;
-  void noteFullRecheckOk(const std::string &MemoKey);
+  /// The full-recheck memo: once checkCanonicalCertificate has accepted
+  /// \p CanonicalCert against a given program with a given engine
+  /// (identified by \p MemoKey — cache key + ":" + handler-body digest +
+  /// ":" + served_by), replaying the byte-identical certificate against
+  /// the byte-identical program is guaranteed to accept again (the
+  /// derivation is deterministic), so later warm hits skip the replay. A
+  /// hit is memoized only when its certificate equals the accepted one
+  /// byte for byte; a different certificate under the same key is
+  /// replayed (and, if accepted, replaces the memoized one). This is what
+  /// keeps warm full-mode re-checking cheaper than re-proving: each
+  /// certificate is replayed through the checker at most once per process
+  /// while it stays the key's latest accepted one.
+  bool fullRecheckMemoized(const std::string &MemoKey,
+                           const std::string &CanonicalCert) const;
+  void noteFullRecheckOk(const std::string &MemoKey,
+                         const std::string &CanonicalCert);
 
 private:
   explicit ProofCache(std::string Dir) : Dir(std::move(Dir)) {}
 
   std::string pathFor(const std::string &Key) const;
-  void preloadIndex();
 
   /// The persisted GC live-set (decl id -> last-seen seconds since the
   /// Unix epoch). Best-effort on both ends: a missing manifest is an
@@ -321,29 +320,12 @@ private:
   mutable std::mutex Mu;
   Stats S;
 
-  /// Entries preloaded at open(), keyed by cache key, each pinned to the
-  /// (size, mtime) signature observed during the preload pass. Bypassed
-  /// entirely while a fault plan is attached (fault injection targets the
-  /// file IO path).
-  struct IndexedEntry {
-    uintmax_t Size = 0;
-    std::filesystem::file_time_type MTime;
-    ProofCacheEntry Entry;
-  };
-  mutable std::mutex IndexMu;
-  std::unordered_map<std::string, IndexedEntry> Index;
-
-  /// Memoized digests of canonical certificates, keyed by the
-  /// certificate content itself (the map's key equality pins which bytes
-  /// each digest covers).
-  mutable std::mutex DigestMu;
-  std::unordered_map<std::string, std::string> DigestMemo;
-
-  /// Keys of full re-checks that succeeded this process (see
-  /// fullRecheckMemoized). Only successes are memoized — a failed replay
-  /// quarantines the entry, so it cannot recur.
+  /// The last canonical certificate accepted by a full re-check this
+  /// process, per memo key (see fullRecheckMemoized): one certificate per
+  /// key, so memory stays bounded by the keys looked up. Only successes
+  /// are memoized — a failed replay quarantines the entry.
   mutable std::mutex RecheckMu;
-  std::unordered_set<std::string> RecheckOk;
+  std::unordered_map<std::string, std::string> RecheckOk;
 
   /// Per-program rendered path fingerprints (see pathFingerprintsFor).
   /// unordered_map value references are stable across inserts, so handing
@@ -389,10 +371,10 @@ private:
 /// property just reports its budget status. Budget statuses are never
 /// stored.
 ///
-/// Full re-checks of a certificate already accepted for this exact (key,
-/// handler bodies, certificate content) this process are served from the
-/// recheck memo without replaying (CertChecked = true, no live
-/// certificate — CertJson comes from the entry).
+/// A Proved hit whose certificate equals, byte for byte, the one this
+/// process last accepted for the same (key, handler bodies, engine) is
+/// served from the recheck memo without replaying (CertChecked = true, no
+/// live certificate — CertJson comes from the entry).
 PropertyResult verifyPropertyCached(VerifySession &Session,
                                     const Property &Prop, ProofCache *Cache,
                                     const ProgramFingerprints *Fps = nullptr,

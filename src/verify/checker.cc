@@ -2,7 +2,6 @@
 
 #include "verify/checker.h"
 
-#include "support/json.h"
 #include "verify/pdr.h"
 
 #include <sstream>
@@ -207,15 +206,9 @@ RecheckOutcome checkCanonicalCertificate(TermContext &Ctx, const Program &P,
                                          const BehAbs &Abs,
                                          const Property &Prop,
                                          const std::string &Canonical,
+                                         const std::string &Engine,
                                          const ProverOptions &Opts) {
   RecheckOutcome Out;
-
-  // The canonical form names its engine (induction omits the field);
-  // re-derive with the same one, else the byte comparison is meaningless.
-  std::string Engine;
-  if (Result<JsonValue> V = parseJson(Canonical))
-    if (const JsonValue *E = V->get("engine"); E && E->isString())
-      Engine = E->stringValue();
 
   // Fresh solver and invariant cache: the cached certificate gets the same
   // from-scratch re-derivation checkCertificate performs, reason trails

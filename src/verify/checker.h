@@ -66,10 +66,20 @@ struct RecheckOutcome {
 /// this is checkCertificate lifted to certificates that crossed a process
 /// boundary; a corrupt or tampered cache entry fails the comparison and
 /// the caller must fall back to full re-verification.
+///
+/// \p Engine names the engine to re-derive with ("pdr"; "" or
+/// "induction" for the paper's prover), as recorded beside the
+/// certificate (ProofCacheEntry::ServedBy, the journal's served_by). It
+/// is no less trusted than the certificate's own "engine" field, and it
+/// cannot weaken the check: the byte comparison still decides. A wrong
+/// engine re-derives a different canonical form (induction's omits
+/// "engine" and "clauses", PDR's carries them), so the certificate is
+/// rejected.
 RecheckOutcome checkCanonicalCertificate(TermContext &Ctx, const Program &P,
                                          const BehAbs &Abs,
                                          const Property &Prop,
                                          const std::string &Canonical,
+                                         const std::string &Engine,
                                          const ProverOptions &Opts);
 
 } // namespace reflex

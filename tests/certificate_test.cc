@@ -163,6 +163,26 @@ TEST_F(CertTest, CheckerOptionsMustMatchProducer) {
   EXPECT_FALSE(Out.Ok);
 }
 
+TEST_F(CertTest, CanonicalCheckedWithPdrEngineRejected) {
+  // An induction certificate re-checked under the engine name "pdr" is
+  // re-derived by PDR, whose canonical form carries "engine" and
+  // "clauses" where induction's has neither — so it cannot match.
+  const Property &Prop = *P->findProperty("PingBeforeMark");
+  ASSERT_EQ(R.ServedBy, "induction");
+  std::string Canonical = R.Cert.canonical(Session->termContext());
+  RecheckOutcome Ok = checkCanonicalCertificate(
+      Session->termContext(), *P, Session->behAbs(), Prop, Canonical,
+      R.ServedBy, Opts);
+  EXPECT_TRUE(Ok.Ok) << Ok.Why;
+  RecheckOutcome Out = checkCanonicalCertificate(
+      Session->termContext(), *P, Session->behAbs(), Prop, Canonical, "pdr",
+      Opts);
+  EXPECT_FALSE(Out.Ok);
+  if (Out.RederivedProved) {
+    EXPECT_EQ(Out.Rederived.Engine, "pdr");
+  }
+}
+
 TEST_F(CertTest, VerifierDowngradesOnRejectedCertificate) {
   // End-to-end: VerifySession itself refuses to report Proved when the
   // checker is on and (hypothetically) the certificate were bad. We can't
@@ -262,7 +282,8 @@ TEST_F(PdrCertTest, CanonicalRoundTripAccepted) {
   EXPECT_NE(Canonical.find("\"clauses\":"), std::string::npos);
   RecheckOutcome Out =
       checkCanonicalCertificate(Session->termContext(), *P,
-                                Session->behAbs(), *Prop, Canonical, Opts);
+                                Session->behAbs(), *Prop, Canonical,
+                                R.ServedBy, Opts);
   EXPECT_TRUE(Out.Ok) << Out.Why;
   EXPECT_EQ(Out.Rederived.Engine, "pdr");
 }
@@ -272,7 +293,8 @@ TEST_F(PdrCertTest, TruncatedCanonicalRejected) {
   std::string Truncated = Canonical.substr(0, Canonical.size() / 2);
   RecheckOutcome Out =
       checkCanonicalCertificate(Session->termContext(), *P,
-                                Session->behAbs(), *Prop, Truncated, Opts);
+                                Session->behAbs(), *Prop, Truncated,
+                                R.ServedBy, Opts);
   EXPECT_FALSE(Out.Ok);
 }
 
@@ -283,8 +305,24 @@ TEST_F(PdrCertTest, CorruptedCanonicalClauseRejected) {
   std::string Bad = Canonical;
   Bad.replace(At, 6, "!prime"); // still parses, different clause
   RecheckOutcome Out = checkCanonicalCertificate(
-      Session->termContext(), *P, Session->behAbs(), *Prop, Bad, Opts);
+      Session->termContext(), *P, Session->behAbs(), *Prop, Bad, R.ServedBy,
+      Opts);
   EXPECT_FALSE(Out.Ok);
+}
+
+TEST_F(PdrCertTest, CanonicalCheckedWithInductionEngineRejected) {
+  // The engine comes from beside the certificate (an entry's served_by),
+  // not from its bytes. Naming the wrong one re-derives with induction,
+  // which cannot produce this canonical form.
+  ASSERT_EQ(R.ServedBy, "pdr");
+  std::string Canonical = R.Cert.canonical(Session->termContext());
+  for (const char *Engine : {"induction", ""}) {
+    RecheckOutcome Out =
+        checkCanonicalCertificate(Session->termContext(), *P,
+                                  Session->behAbs(), *Prop, Canonical,
+                                  Engine, Opts);
+    EXPECT_FALSE(Out.Ok) << "engine '" << Engine << "'";
+  }
 }
 
 TEST_F(PdrCertTest, InductionCertificateStaysEngineFree) {

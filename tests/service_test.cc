@@ -1513,6 +1513,234 @@ TEST(ProofCache, DamagedPdrEntryIsQuarantinedAndReVerified) {
       fs::exists(fs::path(Dir.str()) / "quarantine" / (Key + ".json")));
 }
 
+/// Stores \p Prop's verdict under \p VO, serves it warm once (so the
+/// recheck memo holds it), then rewrites the entry's served_by from
+/// \p From to \p To. The re-check re-derives with the engine the entry
+/// names, and the other engine cannot produce this canonical form, so the
+/// hit must be rejected (the memo included), the entry quarantined, and
+/// the property re-verified to its cold verdict.
+void servedByFlipRoundTrip(const char *Tag, const Program &P,
+                           const Property &Prop, const VerifyOptions &VO,
+                           const std::string &From, const std::string &To) {
+  TempDir Dir(std::string("cache-servedby-") + Tag);
+  ProgramFingerprints FP = ProgramFingerprints::compute(P);
+  std::string Key = ProofCache::keyFor(FP.DeclFp, Prop, VO);
+  std::string EntryPath = Dir.str() + "/" + Key + ".json";
+
+  std::unique_ptr<ProofCache> Cache = mustOpen(Dir.str());
+  ASSERT_NE(Cache, nullptr);
+  PropertyResult Cold;
+  {
+    VerifySession S(P, VO);
+    Cold = verifyPropertyCached(S, Prop, Cache.get(), &FP);
+    ASSERT_EQ(Cold.Status, VerifyStatus::Proved) << Cold.Reason;
+    ASSERT_EQ(Cold.ServedBy, From);
+  }
+  {
+    VerifySession S(P, VO);
+    PropertyResult R = verifyPropertyCached(S, Prop, Cache.get(), &FP);
+    ASSERT_TRUE(R.CacheHit);
+    ASSERT_TRUE(R.CertChecked);
+  }
+
+  std::string Entry = readAll(EntryPath);
+  std::string Field = "\"served_by\":\"" + From + "\"";
+  size_t Pos = Entry.find(Field);
+  ASSERT_NE(Pos, std::string::npos) << Entry;
+  Entry.replace(Pos, Field.size(), "\"served_by\":\"" + To + "\"");
+  writeAll(EntryPath, Entry);
+
+  {
+    VerifySession S(P, VO);
+    PropertyResult R = verifyPropertyCached(S, Prop, Cache.get(), &FP);
+    EXPECT_FALSE(R.CacheHit) << "an entry naming the wrong engine was served";
+    EXPECT_EQ(R.Status, Cold.Status);
+    EXPECT_EQ(R.Reason, Cold.Reason);
+    EXPECT_EQ(R.ServedBy, Cold.ServedBy);
+    EXPECT_EQ(R.CertJson, Cold.CertJson);
+    EXPECT_TRUE(R.CertChecked);
+  }
+  EXPECT_EQ(Cache->stats().Rejected, 1u);
+  EXPECT_EQ(Cache->stats().Quarantined, 1u);
+  EXPECT_TRUE(
+      fs::exists(fs::path(Dir.str()) / "quarantine" / (Key + ".json")));
+  EXPECT_NE(readAll(EntryPath).find(Field), std::string::npos)
+      << "the re-verification publishes the honest engine again";
+}
+
+TEST(ProofCache, PdrEntryRelabelledInductionIsQuarantinedAndReVerified) {
+  ProgramPtr P = kernels::load(kernels::pdrlock());
+  ASSERT_NE(P, nullptr);
+  VerifyOptions VO;
+  VO.Engine = EngineKind::Pdr;
+  servedByFlipRoundTrip("pdr", *P, P->Properties[0], VO, "pdr",
+                        "induction");
+}
+
+TEST(ProofCache, InductionEntryRelabelledPdrIsQuarantinedAndReVerified) {
+  ProgramPtr P = mustLoad(MixedSrc);
+  ASSERT_NE(P, nullptr);
+  servedByFlipRoundTrip("induction", *P, P->Properties[1], VerifyOptions{},
+                        "induction", "pdr");
+}
+
+//===----------------------------------------------------------------------===//
+// Lazy open: every lookup reads its own entry from disk, whatever the
+// directory held when the cache was opened.
+//===----------------------------------------------------------------------===//
+
+/// Verifies both of MixedSrc's properties into \p Dir through a handle
+/// that is closed again, so the caller's next open is a fresh process's.
+void populateMixed(const std::string &Dir, const Program &P,
+                   const ProgramFingerprints &FP) {
+  std::unique_ptr<ProofCache> Cache = mustOpen(Dir);
+  ASSERT_NE(Cache, nullptr);
+  VerifySession S(P);
+  for (const Property &Prop : P.Properties)
+    ASSERT_FALSE(verifyPropertyCached(S, Prop, Cache.get(), &FP).CacheHit);
+  ASSERT_EQ(Cache->stats().Stores, 2u);
+}
+
+TEST(ProofCache, EntryReplacedAfterOpenIsServedFromItsNewBytes) {
+  TempDir Dir("cache-replaced");
+  ProgramPtr P = mustLoad(MixedSrc);
+  ASSERT_NE(P, nullptr);
+  ProgramFingerprints FP = ProgramFingerprints::compute(*P);
+  populateMixed(Dir.str(), *P, FP);
+  const Property &Bad = P->Properties[0];
+  const Property &Fine = P->Properties[1];
+  std::string BadPath =
+      Dir.str() + "/" + ProofCache::keyFor(FP.DeclFp, Bad, {}) + ".json";
+  std::string FineKey = ProofCache::keyFor(FP.DeclFp, Fine, {});
+  std::string FinePath = Dir.str() + "/" + FineKey + ".json";
+
+  std::unique_ptr<ProofCache> Cache = mustOpen(Dir.str());
+  ASSERT_NE(Cache, nullptr);
+
+  // A well-formed replacement: the Unknown verdict's reason is served
+  // as-is, so the hit shows which bytes were read.
+  std::string Entry = readAll(BadPath);
+  size_t Pos = Entry.find("\"reason\":\"");
+  ASSERT_NE(Pos, std::string::npos);
+  Entry.insert(Pos + std::string("\"reason\":\"").size(), "replaced: ");
+  writeAll(BadPath, Entry);
+  // A tampered replacement: still valid JSON, wrong certificate.
+  Entry = readAll(FinePath);
+  Pos = Entry.find("\"canonical_cert\":\"");
+  ASSERT_NE(Pos, std::string::npos);
+  Entry.insert(Pos + std::string("\"canonical_cert\":\"").size(), "XX");
+  writeAll(FinePath, Entry);
+
+  VerifySession S(*P);
+  PropertyResult RB = verifyPropertyCached(S, Bad, Cache.get(), &FP);
+  EXPECT_TRUE(RB.CacheHit);
+  EXPECT_EQ(RB.Status, VerifyStatus::Unknown);
+  EXPECT_EQ(RB.Reason.rfind("replaced: ", 0), 0u) << RB.Reason;
+  PropertyResult RF = verifyPropertyCached(S, Fine, Cache.get(), &FP);
+  EXPECT_FALSE(RF.CacheHit);
+  EXPECT_EQ(RF.Status, VerifyStatus::Proved);
+  EXPECT_TRUE(RF.CertChecked);
+  EXPECT_EQ(Cache->stats().Rejected, 1u);
+  EXPECT_EQ(Cache->stats().Quarantined, 1u);
+  EXPECT_TRUE(
+      fs::exists(fs::path(Dir.str()) / "quarantine" / (FineKey + ".json")));
+}
+
+TEST(ProofCache, EntryDeletedAfterOpenIsAPlainMiss) {
+  TempDir Dir("cache-deleted");
+  ProgramPtr P = mustLoad(MixedSrc);
+  ASSERT_NE(P, nullptr);
+  ProgramFingerprints FP = ProgramFingerprints::compute(*P);
+  populateMixed(Dir.str(), *P, FP);
+  const Property &Fine = P->Properties[1];
+  std::string FinePath =
+      Dir.str() + "/" + ProofCache::keyFor(FP.DeclFp, Fine, {}) + ".json";
+
+  std::unique_ptr<ProofCache> Cache = mustOpen(Dir.str());
+  ASSERT_NE(Cache, nullptr);
+  ASSERT_TRUE(fs::remove(FinePath));
+
+  VerifySession S(*P);
+  PropertyResult R = verifyPropertyCached(S, Fine, Cache.get(), &FP);
+  EXPECT_FALSE(R.CacheHit);
+  EXPECT_EQ(R.Status, VerifyStatus::Proved);
+  EXPECT_EQ(Cache->stats().Misses, 1u);
+  EXPECT_EQ(Cache->stats().Rejected, 0u);
+  EXPECT_EQ(Cache->stats().Quarantined, 0u);
+  EXPECT_EQ(Cache->stats().Stores, 1u);
+  EXPECT_TRUE(fs::exists(FinePath));
+}
+
+TEST(ProofCache, DamagedEntryOfAnotherProgramIsQuarantinedOnlyOnItsLookup) {
+  TempDir Dir("cache-neighbour");
+  ProgramPtr P = mustLoad(MixedSrc);
+  ASSERT_NE(P, nullptr);
+  ProgramFingerprints FP = ProgramFingerprints::compute(*P);
+  populateMixed(Dir.str(), *P, FP);
+  std::string OtherKey =
+      ProofCache::keyFor("another program", P->Properties[1], {});
+  std::string OtherPath = Dir.str() + "/" + OtherKey + ".json";
+  writeAll(OtherPath, "{\"version\":3,\"status\":");
+
+  std::unique_ptr<ProofCache> Cache = mustOpen(Dir.str());
+  ASSERT_NE(Cache, nullptr);
+  VerifySession S(*P);
+  for (const Property &Prop : P->Properties) {
+    PropertyResult R = verifyPropertyCached(S, Prop, Cache.get(), &FP);
+    EXPECT_TRUE(R.CacheHit) << Prop.Name;
+  }
+  EXPECT_EQ(Cache->stats().Hits, 2u);
+  EXPECT_EQ(Cache->stats().Rejected, 0u);
+  EXPECT_EQ(Cache->stats().Quarantined, 0u);
+  EXPECT_TRUE(fs::exists(OtherPath)) << "open and other lookups leave it be";
+
+  EXPECT_FALSE(Cache->lookup(OtherKey).has_value());
+  EXPECT_EQ(Cache->stats().Rejected, 1u);
+  EXPECT_EQ(Cache->stats().Quarantined, 1u);
+  EXPECT_FALSE(fs::exists(OtherPath));
+  EXPECT_TRUE(
+      fs::exists(fs::path(Dir.str()) / "quarantine" / (OtherKey + ".json")));
+}
+
+TEST(ProofCache, RecheckMemoServesRepeatHitsOnlyForTheAcceptedCertificate) {
+  TempDir Dir("cache-memo");
+  ProgramPtr P = mustLoad(MixedSrc);
+  ASSERT_NE(P, nullptr);
+  ProgramFingerprints FP = ProgramFingerprints::compute(*P);
+  populateMixed(Dir.str(), *P, FP);
+  const Property &Fine = P->Properties[1];
+  std::string FinePath =
+      Dir.str() + "/" + ProofCache::keyFor(FP.DeclFp, Fine, {}) + ".json";
+
+  std::unique_ptr<ProofCache> Cache = mustOpen(Dir.str());
+  ASSERT_NE(Cache, nullptr);
+  VerifySession S(*P);
+  PropertyResult First = verifyPropertyCached(S, Fine, Cache.get(), &FP);
+  ASSERT_TRUE(First.CacheHit);
+  ASSERT_TRUE(First.CertChecked);
+  double Replayed = Cache->stats().RecheckMillis;
+  EXPECT_GT(Replayed, 0.0) << "a fresh process replays its first hit";
+
+  PropertyResult Second = verifyPropertyCached(S, Fine, Cache.get(), &FP);
+  EXPECT_TRUE(Second.CacheHit);
+  EXPECT_TRUE(Second.CertChecked);
+  EXPECT_EQ(Second.Status, VerifyStatus::Proved);
+  EXPECT_EQ(Cache->stats().RecheckMillis, Replayed)
+      << "the memo serves the byte-identical certificate without a replay";
+
+  // Another certificate under the same key is replayed, not memo-served.
+  std::string Entry = readAll(FinePath);
+  size_t Pos = Entry.find("\"canonical_cert\":\"");
+  ASSERT_NE(Pos, std::string::npos);
+  Entry.insert(Pos + std::string("\"canonical_cert\":\"").size(), "XX");
+  writeAll(FinePath, Entry);
+  PropertyResult Third = verifyPropertyCached(S, Fine, Cache.get(), &FP);
+  EXPECT_FALSE(Third.CacheHit);
+  EXPECT_EQ(Third.Status, VerifyStatus::Proved);
+  EXPECT_GT(Cache->stats().RecheckMillis, Replayed);
+  EXPECT_EQ(Cache->stats().Rejected, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // GC live-set manifest: liveness persists across cache reopenings
 //===----------------------------------------------------------------------===//

@@ -43,7 +43,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-asan}"
 
 cmake -B "$BUILD" -S . -DREFLEX_SANITIZE=address,undefined >/dev/null
-cmake --build "$BUILD" -j --target service_test daemon_test robustness_test \
+cmake --build "$BUILD" -j "$(nproc)" --target service_test daemon_test robustness_test \
   certificate_test chaos_test solver_test solver_diff_test \
   footprint_stmt_test gen_test corpus_diff_test bench_faults \
   bench_portfolio bench_solver bench_incremental

@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
 cmake -B "$BUILD" -S . >/dev/null
-cmake --build "$BUILD" -j --target bench_parallel bench_faults \
+cmake --build "$BUILD" -j "$(nproc)" --target bench_parallel bench_faults \
   bench_incremental bench_chaos bench_solver bench_corpus reflex_cli
 
 ctest --test-dir "$BUILD" -L bench-smoke --output-on-failure

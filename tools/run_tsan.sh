@@ -39,7 +39,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-tsan}"
 
 cmake -B "$BUILD" -S . -DREFLEX_SANITIZE=thread >/dev/null
-cmake --build "$BUILD" -j --target service_test daemon_test prover_test \
+cmake --build "$BUILD" -j "$(nproc)" --target service_test daemon_test prover_test \
   chaos_test solver_test solver_diff_test corpus_diff_test bench_parallel \
   bench_portfolio bench_solver bench_incremental
 
