@@ -125,6 +125,12 @@ public:
 
   const std::string &socketPath() const { return Opts.SocketPath; }
 
+  /// Verifying requests admitted and not yet finished (the slots
+  /// MaxInFlight caps).
+  unsigned inFlightVerifies() const {
+    return InFlightVerifies.load(std::memory_order_acquire);
+  }
+
   /// Runs the accept loop on the calling thread until shutdown: accepts
   /// clients, spawns one handler thread each, and on shutdown drains
   /// in-flight requests, disconnects idle clients, joins every handler,

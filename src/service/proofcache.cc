@@ -23,20 +23,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Bumped whenever the entry layout or the canonical certificate form
-/// changes. An entry from another version is *stale, not damaged*: it
-/// decodes to a plain miss (never quarantined) and is overwritten after
-/// re-verification. (cert_sha256 was once written without a bump; it
-/// is no longer written, and entries carrying it still decode, since
-/// unknown fields are ignored. Version 2 moved the key to the
-/// declaration fingerprint and added the proof footprint and
-/// per-handler fingerprints. Version 3 made footprints path-granular —
-/// entries record which paths of each consulted handler the proof
-/// entered, plus the rendered path fingerprints reuse compares; v2
-/// entries carry neither, and their guard order may predate
-/// render-stable sorting, so they cannot be validated against an edited
-/// program and simply miss.)
-constexpr int64_t EntryVersion = 3;
+/// Temp files live in their own subdirectory, so the orphan sweep at
+/// open reads only what crashed writers left behind, never the entries.
+constexpr const char *TmpDirName = "tmp";
 
 /// The GC manifest's filename. Lives beside the entries (same .json
 /// extension a key file has, but keys are 64 hex chars, so no collision);
@@ -55,9 +44,9 @@ std::optional<ProofCacheEntry> decodeEntry(const std::string &Bytes,
   Result<JsonValue> Doc = parseJson(Bytes);
   if (!Doc.ok() || !Doc->isObject())
     return std::nullopt;
-  if (int64_t(Doc->getNumber("version", 0)) != EntryVersion) {
+  if (int64_t(Doc->getNumber("version", 0)) != ProofCache::EntryVersion) {
     // A well-formed entry written under another layout generation (an
-    // old process's v2 file, or a newer process's) is not evidence of
+    // old process's v3 file, or a newer process's) is not evidence of
     // damage — it is simply unusable here.
     if (Stale && int64_t(Doc->getNumber("version", 0)) > 0)
       *Stale = true;
@@ -161,19 +150,18 @@ Result<std::unique_ptr<ProofCache>> ProofCache::open(const std::string &Dir) {
   }
   fs::remove(Probe, EC);
 
-  // Sweep orphaned temp files from crashed writers. Anything matching
-  // "*.json.tmp.*" predates this process (live writers rename their temp
-  // away within one store() call), so removing them only reclaims junk
-  // that would otherwise accumulate forever.
+  // Sweep orphaned temp files from crashed writers. Everything in tmp/
+  // predates this process (live writers rename their temp away within
+  // one store() call), so removing it only reclaims junk that would
+  // otherwise accumulate forever. Entries are never listed.
+  fs::path TmpDir = fs::path(Dir) / TmpDirName;
+  fs::create_directories(TmpDir, EC);
+  if (EC)
+    return Error("cannot create '" + TmpDir.string() + "': " + EC.message());
   uint64_t Swept = 0;
-  for (const fs::directory_entry &DE : fs::directory_iterator(Dir, EC)) {
-    if (!DE.is_regular_file(EC))
-      continue;
-    if (DE.path().filename().string().find(".json.tmp.") ==
-        std::string::npos)
-      continue;
+  for (const fs::directory_entry &DE : fs::directory_iterator(TmpDir, EC)) {
     std::error_code RmEC;
-    if (fs::remove(DE.path(), RmEC))
+    if (DE.is_regular_file(RmEC) && fs::remove(DE.path(), RmEC))
       ++Swept;
   }
 
@@ -313,7 +301,8 @@ Result<void> ProofCache::store(const std::string &Key,
   // publish an empty or torn entry.
   std::string Final = pathFor(Key);
   std::ostringstream TmpName;
-  TmpName << Final << ".tmp." << std::this_thread::get_id();
+  TmpName << (fs::path(Dir) / TmpDirName / Key).string() << ".json.tmp."
+          << std::this_thread::get_id();
   FaultyIO IO(Faults);
   if (Result<void> W1 = IO.writeFile(TmpName.str(), W.take() + "\n", Key);
       !W1.ok())
@@ -385,7 +374,8 @@ void ProofCache::storeGcManifest(
   // manifest (costing at most an early eviction and a re-verification).
   fs::path Final = fs::path(Dir) / GcManifestName;
   std::ostringstream TmpName;
-  TmpName << Final.string() << ".tmp." << std::this_thread::get_id();
+  TmpName << (fs::path(Dir) / TmpDirName / GcManifestName).string()
+          << ".tmp." << std::this_thread::get_id();
   FaultyIO IO(Faults);
   if (!IO.writeFile(TmpName.str(), W.take() + "\n", GcManifestName).ok())
     return;
@@ -458,6 +448,14 @@ ProofCache::gc(const std::set<std::string> &LiveDeclSha256) {
     if (!DE.is_regular_file(EC))
       continue;
     const fs::path &P = DE.path();
+    // Stores before tmp/ existed left their orphaned temps beside the
+    // entries; open no longer looks there, so gc reclaims them.
+    if (P.filename().string().find(".json.tmp.") != std::string::npos) {
+      std::error_code RmEC;
+      if (fs::remove(P, RmEC))
+        ++Out.SweptTmp;
+      continue;
+    }
     if (P.extension() != ".json" || P.filename() == GcManifestName)
       continue;
     ++Out.Scanned;

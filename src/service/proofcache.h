@@ -120,15 +120,31 @@ struct ProofCacheEntry {
 /// A persistent content-addressed store of verification verdicts.
 class ProofCache {
 public:
-  /// Opens (creating if needed) a cache rooted at \p Dir. Sweeps orphaned
-  /// `*.tmp.*` files left behind by crashed writers (any tmp file present
-  /// at open predates this process; a *concurrent* process sharing the
-  /// directory could in the worst case lose an in-flight store — which
-  /// costs a re-verification, never a wrong verdict).
-  /// Opening reads no entries: each lookup() reads and decodes just the
-  /// file its key names, so opening costs the same however many entries
-  /// the directory holds, and a request pays only for its own program's
-  /// entries (plus the directory scan of the tmp sweep).
+  /// Bumped whenever the entry layout or the canonical certificate form
+  /// changes. An entry from another version is *stale, not damaged*: it
+  /// decodes to a plain miss (never quarantined) and is overwritten after
+  /// re-verification. (cert_sha256 was once written without a bump; it
+  /// is no longer written, and entries carrying it still decode, since
+  /// unknown fields are ignored. Version 2 moved the key to the
+  /// declaration fingerprint and added the proof footprint and
+  /// per-handler fingerprints. Version 3 made footprints path-granular —
+  /// entries record which paths of each consulted handler the proof
+  /// entered, plus the rendered path fingerprints reuse compares; v2
+  /// entries carry neither, and their guard order may predate
+  /// render-stable sorting, so they cannot be validated against an edited
+  /// program and simply miss. Version 4 certificates record only the
+  /// steps search found: no step for a syntactically skipped handler.)
+  static constexpr int64_t EntryVersion = 4;
+
+  /// Opens (creating if needed) a cache rooted at \p Dir. Sweeps the
+  /// orphaned temp files crashed writers left in `<dir>/tmp/` (any file
+  /// there at open predates this process; a *concurrent* process sharing
+  /// the directory could in the worst case lose an in-flight store —
+  /// which costs a re-verification, never a wrong verdict).
+  /// Opening reads and lists no entries: each lookup() reads and decodes
+  /// just the file its key names, so opening costs the same however many
+  /// entries the directory holds, and a request pays only for its own
+  /// program's entries.
   static Result<std::unique_ptr<ProofCache>> open(const std::string &Dir);
 
   const std::string &directory() const { return Dir; }
@@ -165,7 +181,8 @@ public:
   /// No-op if the entry vanished meanwhile (a concurrent quarantine).
   void quarantine(const std::string &Key);
 
-  /// Atomically writes the entry for \p Key. \p ProgramName and
+  /// Atomically writes the entry for \p Key (a temp file in `<dir>/tmp/`,
+  /// fsynced, then renamed over the entry). \p ProgramName and
   /// \p PropertyName are stored for human auditing only.
   Result<void> store(const std::string &Key, const ProofCacheEntry &Entry,
                      const std::string &ProgramName,
@@ -188,6 +205,9 @@ public:
     /// keep quarantine/ within its bound.
     uint64_t QuarantineKept = 0;
     uint64_t QuarantineEvicted = 0;
+    /// Orphaned `*.json.tmp.*` files removed from the cache root, where
+    /// stores wrote their temps before `tmp/` existed.
+    uint64_t SweptTmp = 0;
   };
 
   /// Footprint-aware garbage collection: scans every entry on disk and
@@ -231,7 +251,7 @@ public:
     uint64_t Rejected = 0;    ///< entries refused: undecodable on disk, or
                               ///< the checker rejected the certificate
     uint64_t Quarantined = 0; ///< entries moved aside into quarantine/
-    uint64_t SweptTmp = 0;    ///< orphaned *.tmp.* files removed at open
+    uint64_t SweptTmp = 0;    ///< orphaned tmp/ files removed at open
     uint64_t GcRuns = 0;      ///< gc() invocations
     uint64_t GcDropped = 0;   ///< entries deleted across all gc() runs
     /// Times a gc.manifest existed on disk but would not parse (torn or

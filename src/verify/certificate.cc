@@ -20,8 +20,6 @@ const char *justifyName(Justify J) {
     return "no-comp-history";
   case Justify::GuardPreserved:
     return "guard-preserved";
-  case Justify::SyntacticSkip:
-    return "syntactic-skip";
   case Justify::NoPriorLocal:
     return "no-prior-local";
   case Justify::FrameBlocked:

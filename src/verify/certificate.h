@@ -10,12 +10,17 @@
 /// terms re-checked by Coq's kernel (the de Bruijn criterion: a large
 /// untrusted search, a small trusted checker). The C++ substitution keeps
 /// that architecture in miniature: the prover records, for every case of
-/// the induction over BehAbs, *which* justification discharges it (a local
-/// emission, a failed-lookup fact, an auxiliary invariant, ...), and the
-/// independent checker (verify/checker.h) re-enumerates all obligations
-/// and re-validates every claimed justification using only the solver and
-/// the handler summaries. The prover's search heuristics are thereby
-/// outside the trusted base.
+/// the induction over BehAbs that it symbolically evaluated, *which*
+/// justification discharges it (a local emission, a failed-lookup fact,
+/// an auxiliary invariant, ...), and the independent checker
+/// (verify/checker.h) re-enumerates all obligations and re-validates every
+/// claimed justification using only the solver and the handler summaries.
+/// A certificate records only what the search found: a handler the §6.4
+/// syntactic skip rules out (summaryMayEmit/summaryMayAssign in
+/// verify/prover.h) has no step, because the checker recomputes the skip
+/// set from the handler bodies rather than trusting the certificate for
+/// it. The prover's search heuristics are thereby outside the trusted
+/// base.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,10 +55,6 @@ enum class Justify : uint8_t {
   /// Invariant step: the guard is preserved, so the inductive hypothesis
   /// applies to the prefix trace.
   GuardPreserved,
-  /// The handler cannot emit a matching action nor disturb the guard —
-  /// decided syntactically, without symbolic evaluation (§6.4
-  /// optimization).
-  SyntacticSkip,
   /// Disables: every earlier in-path emission was refuted as a match.
   NoPriorLocal,
   /// PDR only: the obligation's pre-state cube is excluded by the
@@ -64,7 +65,7 @@ enum class Justify : uint8_t {
 
 const char *justifyName(Justify J);
 
-/// One discharged obligation.
+/// One discharged obligation. Cases of skipped handlers have none.
 struct ProofStep {
   /// "init" or "CompType=>MsgName".
   std::string Where;
@@ -83,8 +84,8 @@ struct ProofStep {
 
 /// An auxiliary invariant of the form
 ///   Guard(state, vars) ⇒ [∃ / ∄] action matching Action(vars) in trace
-/// together with its own inductive proof (base + one step per
-/// handler-path).
+/// together with its own inductive proof (base + one step per path of
+/// every handler that can emit Action or assign a guard variable).
 struct InvariantRecord {
   int Id = 0;
   /// false: guard requires history (∃); true: guard forbids history (∄).

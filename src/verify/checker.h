@@ -12,10 +12,15 @@
 /// entailment and satisfiability query is recomputed from scratch, with an
 /// empty memo table — and then requires the re-derived certificate to be
 /// structurally identical to the stored one (same cases, same
-/// justifications, same invariants). The prover's search-order heuristics
-/// and caches are thereby outside the trusted base; what remains trusted
-/// is the shared semantics core: symbolic execution, pattern matching, and
-/// the entailment engine (documented in DESIGN.md).
+/// justifications, same invariants). The re-derivation decides the §6.4
+/// syntactic skip for every handler afresh (summaryMayEmit and
+/// summaryMayAssign over the handler bodies); certificates carry no step
+/// for a skipped handler, so a step forged at a skipped handler, or a
+/// handler's steps dropped as if it were skipped, fails the comparison.
+/// The prover's search-order heuristics and caches are thereby outside
+/// the trusted base; what remains trusted is the shared semantics core:
+/// symbolic execution, pattern matching, the skip predicates, and the
+/// entailment engine (documented in DESIGN.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +45,8 @@ struct CheckOutcome {
 
 /// Re-validates \p Cert for property \p Prop of \p P (abstracted by
 /// \p Abs). \p Opts must match the options the certificate was produced
-/// with (they change the certificate's shape, e.g. syntactic-skip steps).
+/// with (they change the certificate's shape: with SyntacticSkip off,
+/// every handler's paths carry steps).
 CheckOutcome checkCertificate(TermContext &Ctx, const Program &P,
                               const BehAbs &Abs, const Property &Prop,
                               const Certificate &Cert,

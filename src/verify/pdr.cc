@@ -14,33 +14,6 @@ std::string whereOf(const HandlerSummary &S) {
   return S.CompType + "=>" + S.MsgName;
 }
 
-/// Mirror of the induction prover's syntactic-skip predicate: can the
-/// body of \p S possibly emit an action matching \p Pat? The two engines
-/// must agree so `--engine` changes which proof is found, never which
-/// obligations exist.
-bool summaryMayEmit(const Program &P, const HandlerSummary &S,
-                    const ActionPattern &Pat) {
-  switch (Pat.Kind) {
-  case ActionPattern::Recv:
-    return S.CompType == Pat.Comp.TypeName && S.MsgName == Pat.Msg.MsgName;
-  case ActionPattern::Send: {
-    if (S.IsDefault)
-      return false;
-    const Handler *H = P.findHandler(S.CompType, S.MsgName);
-    assert(H && "summary without handler");
-    return cmdSendsMessage(*H->Body, Pat.Msg.MsgName);
-  }
-  case ActionPattern::Spawn: {
-    if (S.IsDefault)
-      return false;
-    const Handler *H = P.findHandler(S.CompType, S.MsgName);
-    assert(H && "summary without handler");
-    return cmdSpawnsType(*H->Body, Pat.Comp.TypeName);
-  }
-  }
-  return true;
-}
-
 /// True if \p T mentions only canonical state symbols and literals: the
 /// fragment PDR frames speak. Stricter than isGuardTerm — pattern symbols
 /// are trigger-bound, not state, so they cannot appear in a frame clause.
@@ -112,13 +85,8 @@ public:
                     /*IsInit=*/true, Why))
         return false;
     for (const HandlerSummary &S : Abs.Handlers) {
-      if (Opts.SyntacticSkip && !summaryMayEmit(P, S, TP.trigger())) {
-        ProofStep Step;
-        Step.Where = whereOf(S);
-        Step.Kind = Justify::SyntacticSkip;
-        Steps.push_back(std::move(Step));
+      if (Opts.SyntacticSkip && !summaryMayEmit(P, S, TP.trigger()))
         continue;
-      }
       for (size_t I = 0; I < S.Paths.size(); ++I)
         if (!scanPath(whereOf(S), static_cast<int>(I), S.Paths[I],
                       /*IsInit=*/false, Why))

@@ -8,15 +8,6 @@
 
 namespace reflex {
 
-namespace {
-
-std::string whereOf(const HandlerSummary &S) {
-  return S.CompType + "=>" + S.MsgName;
-}
-
-/// Can the body of \p S possibly emit an action matching \p Pat? Purely
-/// syntactic; used by the SyntacticSkip optimization. Conservative: "true"
-/// means "maybe".
 bool summaryMayEmit(const Program &P, const HandlerSummary &S,
                     const ActionPattern &Pat) {
   switch (Pat.Kind) {
@@ -55,6 +46,12 @@ bool summaryMayAssign(const Program &P, const HandlerSummary &S,
   return false;
 }
 
+namespace {
+
+std::string whereOf(const HandlerSummary &S) {
+  return S.CompType + "=>" + S.MsgName;
+}
+
 class Engine {
 public:
   Engine(TermContext &Ctx, Solver &Solv, const Program &P, const BehAbs &Abs,
@@ -74,15 +71,11 @@ public:
                        /*IsInit=*/true))
         return fail(WhyOut);
 
-    // Inductive cases: one per (component type, message type).
+    // Inductive cases: one per (component type, message type). A skipped
+    // case records no step; the checker decides the skip for itself.
     for (const HandlerSummary &S : Abs.Handlers) {
-      if (Opts.SyntacticSkip && !summaryMayEmit(P, S, TP.trigger())) {
-        ProofStep Step;
-        Step.Where = whereOf(S);
-        Step.Kind = Justify::SyntacticSkip;
-        Cert.Steps.push_back(std::move(Step));
+      if (Opts.SyntacticSkip && !summaryMayEmit(P, S, TP.trigger()))
         continue;
-      }
       // Symbolically processed: this case's outcome reads the handler's
       // summary, so the handler joins the footprint — path-granularly:
       // the obligation scan observes every path's *emits* (to decide
@@ -656,13 +649,8 @@ private:
     // Inductive step: every exchange preserves the invariant.
     for (const HandlerSummary &S : Abs.Handlers) {
       if (Opts.SyntacticSkip && !summaryMayEmit(P, S, Inv.Action) &&
-          !summaryMayAssign(P, S, GuardVars)) {
-        ProofStep Step;
-        Step.Where = whereOf(S);
-        Step.Kind = Justify::SyntacticSkip;
-        Rec.Steps.push_back(std::move(Step));
+          !summaryMayAssign(P, S, GuardVars))
         continue;
-      }
       noteHandler(whereOf(S));
       for (size_t I = 0; I < S.Paths.size(); ++I) {
         const SymPath &Path = S.Paths[I];

@@ -44,7 +44,8 @@ namespace reflex {
 /// Prover options mirror the §6.4 optimizations so the ablation bench can
 /// toggle them:
 ///  * SyntacticSkip — skip symbolic evaluation of handlers that a cheap
-///    syntactic check shows cannot affect the obligation;
+///    syntactic check shows cannot affect the obligation (a skipped
+///    handler records no step; the checker decides the skip again);
 ///  * CacheInvariants — reuse auxiliary-invariant proofs across
 ///    obligations and properties ("saving subproofs at key cut points").
 /// (The third optimization, domain-specific term reduction, is toggled on
@@ -64,6 +65,18 @@ struct ProverOptions {
   /// is not part of any fingerprint.
   ProofFootprint *Footprint = nullptr;
 };
+
+/// The §6.4 syntactic skip, shared by the induction prover and PDR so
+/// `--engine` changes which proof is found, never which obligations
+/// exist. Can the body of \p S possibly emit an action matching \p Pat?
+/// Conservative: "true" means "maybe".
+bool summaryMayEmit(const Program &P, const HandlerSummary &S,
+                    const ActionPattern &Pat);
+
+/// Can the body of \p S assign any of \p Vars? (An invariant step skips
+/// a handler that neither emits its action nor assigns its guard.)
+bool summaryMayAssign(const Program &P, const HandlerSummary &S,
+                      const std::set<std::string> &Vars);
 
 /// A cross-worker tier for the invariant-proof cache (§6.4, "saving
 /// subproofs at key cut points" — shared between the workers of the

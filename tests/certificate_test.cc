@@ -8,8 +8,11 @@
 
 #include "test_util.h"
 
+#include "gen/generator.h"
 #include "kernels/kernels.h"
 #include "verify/pdr.h"
+
+#include <set>
 
 namespace reflex {
 namespace {
@@ -150,9 +153,9 @@ TEST_F(CertTest, JsonExportIsWellFormedish) {
 }
 
 TEST_F(CertTest, CheckerOptionsMustMatchProducer) {
-  // Option toggles change the certificate's *shape* (e.g. syntactic-skip
-  // steps); a checker configured differently must reject rather than
-  // silently accept.
+  // Option toggles change the certificate's *shape* (e.g. steps for the
+  // handlers a syntactic skip rules out); a checker configured
+  // differently must reject rather than silently accept.
   ProverOptions Mismatched;
   Mismatched.SyntacticSkip = false;
   Mismatched.CacheInvariants = true;
@@ -336,6 +339,226 @@ TEST_F(PdrCertTest, InductionCertificateStaysEngineFree) {
   EXPECT_TRUE(IndR.Cert.InvClauses.empty());
   EXPECT_EQ(IndR.CertJson.find("\"engine\""), std::string::npos);
   EXPECT_EQ(IndR.CertJson.find("\"clauses\""), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Certificates record only what the search found: a handler the §6.4
+// syntactic skip rules out has no step, and the checker decides the skip
+// for itself — so a step forged at a skipped handler, or a handler's
+// steps dropped as if it were skipped, is rejected.
+//===----------------------------------------------------------------------===//
+
+std::string whereOf(const HandlerSummary &S) {
+  return S.CompType + "=>" + S.MsgName;
+}
+
+const HandlerSummary *findSummary(const BehAbs &Abs,
+                                  const std::string &Where) {
+  for (const HandlerSummary &S : Abs.Handlers)
+    if (whereOf(S) == Where)
+      return &S;
+  return nullptr;
+}
+
+/// Fails the test on any step of \p Cert at a handler the skip rules out,
+/// for the property pass and for every invariant's induction. Returns how
+/// many (obligation, handler) cases the skip ruled out, so callers can
+/// see the check is not vacuous.
+size_t expectNoSkippedSteps(VerifySession &Session, const Program &P,
+                            const TraceProperty &TP,
+                            const Certificate &Cert) {
+  const BehAbs &Abs = Session.behAbs();
+  size_t Skipped = 0;
+  for (const HandlerSummary &S : Abs.Handlers)
+    Skipped += !summaryMayEmit(P, S, TP.trigger());
+  for (const ProofStep &Step : Cert.Steps) {
+    if (Step.Where == "init")
+      continue;
+    const HandlerSummary *S = findSummary(Abs, Step.Where);
+    EXPECT_NE(S, nullptr) << Step.Where;
+    if (S) {
+      EXPECT_TRUE(summaryMayEmit(P, *S, TP.trigger()))
+          << Cert.PropertyName << ": step at skipped " << Step.Where;
+    }
+  }
+  for (const InvariantRecord &Inv : Cert.Invariants) {
+    std::set<std::string> GuardVars;
+    collectGuardVars(Inv.Guard, Session.termContext(), GuardVars);
+    auto Skips = [&](const HandlerSummary &S) {
+      return !summaryMayEmit(P, S, Inv.Action) &&
+             !summaryMayAssign(P, S, GuardVars);
+    };
+    for (const HandlerSummary &S : Abs.Handlers)
+      Skipped += Skips(S);
+    for (const ProofStep &Step : Inv.Steps) {
+      if (Step.Where == "init")
+        continue;
+      const HandlerSummary *S = findSummary(Abs, Step.Where);
+      EXPECT_NE(S, nullptr) << Step.Where;
+      if (S) {
+        EXPECT_FALSE(Skips(*S)) << Cert.PropertyName << ": invariant "
+                                << Inv.Id << " step at skipped "
+                                << Step.Where;
+      }
+    }
+  }
+  return Skipped;
+}
+
+struct SkipCoverage {
+  size_t Certificates = 0;
+  size_t SkippedCases = 0;
+};
+
+/// Verifies every trace property of \p P under \p VO and checks each
+/// certificate it proves.
+void expectSkipFreeCertificates(const Program &P, const VerifyOptions &VO,
+                                SkipCoverage &Cov) {
+  VerifySession Session(P, VO);
+  for (const Property &Prop : P.Properties) {
+    if (!Prop.isTrace())
+      continue;
+    PropertyResult R = Session.verify(Prop);
+    if (R.Status != VerifyStatus::Proved)
+      continue;
+    ++Cov.Certificates;
+    Cov.SkippedCases +=
+        expectNoSkippedSteps(Session, P, Prop.traceProp(), R.Cert);
+    EXPECT_EQ(R.CertJson.find("syntactic-skip"), std::string::npos);
+  }
+}
+
+std::vector<ProgramPtr> kernelsAndPdrlock() {
+  std::vector<ProgramPtr> Out;
+  for (const kernels::KernelDef *K : kernels::all())
+    Out.push_back(kernels::load(*K));
+  Out.push_back(kernels::load(kernels::pdrlock()));
+  return Out;
+}
+
+TEST(SkipFreeCertTest, KernelCertificatesHaveNoStepAtASkippedHandler) {
+  for (EngineKind E : {EngineKind::Induction, EngineKind::Pdr}) {
+    SCOPED_TRACE(engineKindName(E));
+    VerifyOptions VO;
+    VO.Engine = E;
+    SkipCoverage Cov;
+    for (const ProgramPtr &P : kernelsAndPdrlock())
+      expectSkipFreeCertificates(*P, VO, Cov);
+    EXPECT_GT(Cov.Certificates, 0u);
+    EXPECT_GT(Cov.SkippedCases, 0u);
+  }
+}
+
+TEST(SkipFreeCertTest, CorpusCertificatesHaveNoStepAtASkippedHandler) {
+  gen::GenConfig C;
+  C.Seed = 42;
+  C.Scale = 1;
+  gen::GeneratedCorpus Corpus = gen::generateCorpus(C);
+  ASSERT_FALSE(Corpus.Instances.empty());
+  for (EngineKind E : {EngineKind::Induction, EngineKind::Pdr}) {
+    SCOPED_TRACE(engineKindName(E));
+    VerifyOptions VO = gen::corpusVerifyOptions();
+    VO.Engine = E;
+    SkipCoverage Cov;
+    for (const gen::GeneratedInstance &I : Corpus.Instances)
+      expectSkipFreeCertificates(*I.Program, VO, Cov);
+    if (E == EngineKind::Induction) {
+      EXPECT_GT(Cov.Certificates, 0u);
+      EXPECT_GT(Cov.SkippedCases, 0u);
+    }
+  }
+}
+
+/// The index in \p Steps where a step at \p Where belongs: after init and
+/// after every handler declared before it, as the engines enumerate them.
+size_t insertionPoint(const BehAbs &Abs, const std::vector<ProofStep> &Steps,
+                      const std::string &Where) {
+  std::map<std::string, size_t> Order;
+  for (size_t I = 0; I < Abs.Handlers.size(); ++I)
+    Order[whereOf(Abs.Handlers[I])] = I + 1;
+  size_t At = 0;
+  while (At < Steps.size() && Order[Steps[At].Where] < Order[Where])
+    ++At;
+  return At;
+}
+
+/// A copy of \p Cert with a plausible step forged at the first handler the
+/// skip rules out for \p TP; false if there is none.
+bool forgeStepAtSkippedHandler(const BehAbs &Abs, const Program &P,
+                               const TraceProperty &TP, Certificate &Cert) {
+  for (const HandlerSummary &S : Abs.Handlers) {
+    if (summaryMayEmit(P, S, TP.trigger()) || S.Paths.empty())
+      continue;
+    ProofStep Forged;
+    Forged.Where = whereOf(S);
+    Forged.PathIndex = 0;
+    Forged.Kind = Justify::PathInfeasible;
+    Cert.Steps.insert(
+        Cert.Steps.begin() + insertionPoint(Abs, Cert.Steps, Forged.Where),
+        Forged);
+    return true;
+  }
+  return false;
+}
+
+/// A copy of \p Cert with every step of its first non-init handler
+/// dropped, as if the skip had ruled that handler out.
+bool claimSkipOverSteppedHandler(Certificate &Cert) {
+  for (const ProofStep &Step : Cert.Steps) {
+    if (Step.Where == "init")
+      continue;
+    std::string Where = Step.Where;
+    std::erase_if(Cert.Steps,
+                  [&](const ProofStep &X) { return X.Where == Where; });
+    return true;
+  }
+  return false;
+}
+
+TEST_F(CertTest, ForgedStepAtSkippedHandlerRejected) {
+  const Property &Prop = *P->findProperty("PingBeforeMark");
+  Certificate Bad = R.Cert;
+  ASSERT_TRUE(forgeStepAtSkippedHandler(Session->behAbs(), *P,
+                                        Prop.traceProp(), Bad));
+  EXPECT_FALSE(check(Bad).Ok);
+  RecheckOutcome Out = checkCanonicalCertificate(
+      Session->termContext(), *P, Session->behAbs(), Prop,
+      Bad.canonical(Session->termContext()), R.ServedBy, Opts);
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_TRUE(Out.RederivedProved) << "the property itself still proves";
+}
+
+TEST_F(CertTest, SkipClaimedOverSteppedHandlerRejected) {
+  const Property &Prop = *P->findProperty("PingBeforeMark");
+  Certificate Bad = R.Cert;
+  ASSERT_TRUE(claimSkipOverSteppedHandler(Bad));
+  EXPECT_FALSE(check(Bad).Ok);
+  RecheckOutcome Out = checkCanonicalCertificate(
+      Session->termContext(), *P, Session->behAbs(), Prop,
+      Bad.canonical(Session->termContext()), R.ServedBy, Opts);
+  EXPECT_FALSE(Out.Ok);
+}
+
+TEST_F(PdrCertTest, ForgedStepAtSkippedHandlerRejected) {
+  Certificate Bad = R.Cert;
+  ASSERT_TRUE(forgeStepAtSkippedHandler(Session->behAbs(), *P,
+                                        Prop->traceProp(), Bad));
+  EXPECT_FALSE(check(Bad).Ok);
+  RecheckOutcome Out = checkCanonicalCertificate(
+      Session->termContext(), *P, Session->behAbs(), *Prop,
+      Bad.canonical(Session->termContext()), R.ServedBy, Opts);
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_TRUE(Out.RederivedProved) << "the property itself still proves";
+}
+
+TEST_F(PdrCertTest, SkipClaimedOverSteppedHandlerRejected) {
+  Certificate Bad = R.Cert;
+  ASSERT_TRUE(claimSkipOverSteppedHandler(Bad));
+  EXPECT_FALSE(check(Bad).Ok);
+  RecheckOutcome Out = checkCanonicalCertificate(
+      Session->termContext(), *P, Session->behAbs(), *Prop,
+      Bad.canonical(Session->termContext()), R.ServedBy, Opts);
+  EXPECT_FALSE(Out.Ok);
 }
 
 } // namespace

@@ -531,6 +531,96 @@ TEST(Chaos, JournalFromOlderDaemonWithFastCacheOptionStillRecovers) {
   }
 }
 
+TEST(Chaos, JournalWithSkipStepCertificatesIsReverifiedNotLost) {
+  // Daemons once journaled certificates that carried a step for every
+  // syntactically skipped handler. Certificates now record only what the
+  // search found, so no re-derivation matches such a record: recovery
+  // must reject each one through the checker (never serve it), keep the
+  // session and every other verdict, and the next edit must re-verify
+  // the rejected properties byte-identically to a cold run.
+  std::string CacheDir = tempDir("chaos_skipsteps");
+  const kernels::KernelDef &K = kernels::ssh2();
+  ProgramPtr P = kernels::load(K);
+  ASSERT_FALSE(P->Handlers.empty());
+  VerificationReport Want = freshReport(*P);
+
+  {
+    DaemonOptions O;
+    O.SocketPath = sockPath("skp1");
+    O.CacheDir = CacheDir;
+    TestDaemon TD(O);
+    ASSERT_NE(TD.D, nullptr);
+    DaemonClient C = mustConnect(TD.D->socketPath());
+    ASSERT_TRUE(mustCall(C, frame("open-session", "warm", K.Source))
+                    .getBool("ok"));
+  }
+
+  // Rewrite every Proved record into the older form: each steps array of
+  // both certificate renderings (escaped JSON strings inside the record)
+  // gains a skip step, under a valid checksum.
+  const Handler &H = P->Handlers.front();
+  const std::string Skip = "{\\\"where\\\":\\\"" + H.CompType + "=>" +
+                           H.MsgName +
+                           "\\\",\\\"path\\\":-1,\\\"justify\\\":"
+                           "\\\"syntactic-skip\\\"}";
+  const std::string StepsKey = "\\\"steps\\\":[";
+  std::string Path = CacheDir + "/verdicts.journal";
+  std::istringstream In(slurp(Path));
+  std::string Line, Rebuilt;
+  size_t Verdicts = 0, Rewritten = 0;
+  while (std::getline(In, Line)) {
+    size_t Sp2 = Line.find(' ', Line.find(' ') + 1);
+    ASSERT_NE(Sp2, std::string::npos);
+    std::string Payload = Line.substr(Sp2 + 1);
+    Result<JsonValue> Doc = parseJson(Payload);
+    ASSERT_TRUE(Doc.ok());
+    if (Doc->getString("type") == "verdict") {
+      ++Verdicts;
+      if (Doc->getString("status") == "Proved") {
+        size_t Inserted = 0;
+        for (size_t At = Payload.find(StepsKey); At != std::string::npos;
+             At = Payload.find(StepsKey, At + 1)) {
+          size_t End = At + StepsKey.size();
+          Payload.insert(End, Payload[End] == ']' ? Skip : Skip + ",");
+          ++Inserted;
+        }
+        ASSERT_GE(Inserted, 2u) << "both renderings carry steps";
+        ASSERT_TRUE(parseJson(Payload).ok());
+        ++Rewritten;
+      }
+    }
+    Rebuilt += VerdictJournal::encodeRecord(Payload) + "\n";
+  }
+  ASSERT_GT(Rewritten, 0u) << "no journaled Proved verdict found";
+  spit(Path, Rebuilt);
+
+  DaemonOptions O;
+  O.SocketPath = sockPath("skp2");
+  O.CacheDir = CacheDir;
+  TestDaemon TD(O);
+  ASSERT_NE(TD.D, nullptr);
+  DaemonClient C = mustConnect(TD.D->socketPath());
+  JsonValue S = mustCall(C, frame("stats"));
+  const JsonValue *J = S.get("journal");
+  ASSERT_NE(J, nullptr);
+  EXPECT_EQ(J->getNumber("sessions_recovered"), 1.0);
+  EXPECT_EQ(size_t(J->getNumber("verdicts_rejected")), Rewritten)
+      << "every old-form certificate dies at the checker";
+  EXPECT_EQ(size_t(J->getNumber("verdicts_recovered")), Verdicts - Rewritten)
+      << "the other verdicts are kept";
+
+  JsonValue Edit = mustCall(C, frame("edit", "warm", K.Source));
+  ASSERT_TRUE(Edit.getBool("ok")) << Edit.getString("error");
+  EXPECT_EQ(size_t(Edit.getNumber("reverified")), Rewritten);
+  expectResultsMatch(Edit, Want, "skip-step journal edit");
+  const JsonValue *Results = Edit.get("results");
+  ASSERT_NE(Results, nullptr);
+  for (const JsonValue &R : Results->items())
+    if (R.getString("status") == "Proved") {
+      EXPECT_TRUE(R.getBool("cert_checked")) << R.getString("name");
+    }
+}
+
 TEST(Chaos, ClosedSessionsAreNotResurrectedByRecovery) {
   std::string CacheDir = tempDir("chaos_closed");
   const kernels::KernelDef &K = kernels::car();
@@ -703,9 +793,10 @@ TEST(Chaos, InFlightCapShedsStructurallyAndRetryingClientsSucceed) {
   const std::string Socket = TD.D->socketPath();
 
   // Occupy the single slot with a deliberately long verify whose response
-  // we do not read yet. It runs on one worker, so its length does not
-  // shrink with the core count: a 200-stage chain at jobs 1 takes about
-  // 1.4 s on a 4-core x86-64 host, several times the 250 ms head start.
+  // we do not read yet, and wait until the daemon has admitted it. It runs
+  // on one worker, so its length does not shrink with the core count: a
+  // 200-stage chain at jobs 1 takes about 0.7 s on a 4-core x86-64 host,
+  // while the shed request below follows admission within milliseconds.
   std::string Slow = kernels::syntheticChainKernel(200);
   Result<DaemonClient> A = DaemonClient::connect(Socket);
   ASSERT_TRUE(A.ok()) << A.error();
@@ -713,7 +804,12 @@ TEST(Chaos, InFlightCapShedsStructurallyAndRetryingClientsSucceed) {
       A->socket()
           .sendAll(frame("verify", "", Slow, R"({"jobs":1})") + "\n")
           .ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  auto Admitted = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (TD.D->inFlightVerifies() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), Admitted)
+        << "the slow verify was never admitted";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // A second verify is shed with the structured overload error...
   DaemonClient B = mustConnect(Socket);

@@ -235,15 +235,21 @@ void writeAll(const std::string &Path, const std::string &Data) {
   Out << Data;
 }
 
-/// Rewrites a freshly stored v3 entry into the shape a v2 binary wrote:
-/// version 2, no "path_fps" field. Aborts the test on unexpected shape.
+/// The version field a current binary writes into every entry.
+std::string currentVersionField() {
+  return "\"version\":" + std::to_string(ProofCache::EntryVersion);
+}
+
+/// Rewrites a freshly stored current entry into the shape a v2 binary
+/// wrote: version 2, no "path_fps" field. Aborts the test on unexpected
+/// shape.
 std::string downgradeToV2(const std::string &Entry) {
   std::string Out = Entry;
-  size_t V = Out.find("\"version\":3");
+  size_t V = Out.find(currentVersionField());
   EXPECT_NE(V, std::string::npos);
   if (V == std::string::npos)
     return Out;
-  Out.replace(V, std::string("\"version\":3").size(), "\"version\":2");
+  Out.replace(V, currentVersionField().size(), "\"version\":2");
   size_t PF = Out.find(",\"path_fps\":");
   if (PF != std::string::npos) {
     // Drop the whole field: scan the value with a bracket depth counter
@@ -264,10 +270,10 @@ std::string downgradeToV2(const std::string &Entry) {
 }
 
 TEST(FootprintStmt, CacheV2EntryMigratesAsPlainMiss) {
-  // A v2-shaped entry (older binary, handler-granular era) under a v3
-  // binary: a *stale* entry, not a damaged one. Contract: plain miss —
-  // never quarantined, never counted rejected, and above all never
-  // served — then overwritten in place by the re-verification's v3
+  // A v2-shaped entry (older binary, handler-granular era) under a
+  // current binary: a *stale* entry, not a damaged one. Contract: plain
+  // miss — never quarantined, never counted rejected, and above all never
+  // served — then overwritten in place by the re-verification's current
   // entry, which serves normally from then on.
   TempDir Dir("cache-v2-migration");
   ProgramPtr P = mustLoad(std::string(kernels::ssh().Source));
@@ -287,7 +293,7 @@ TEST(FootprintStmt, CacheV2EntryMigratesAsPlainMiss) {
       ASSERT_EQ(R.Status, VerifyStatus::Proved);
     }
     std::string Entry = readAll(EntryPath);
-    ASSERT_NE(Entry.find("\"version\":3"), std::string::npos);
+    ASSERT_NE(Entry.find(currentVersionField()), std::string::npos);
     writeAll(EntryPath, downgradeToV2(Entry));
   }
 
@@ -307,7 +313,7 @@ TEST(FootprintStmt, CacheV2EntryMigratesAsPlainMiss) {
   EXPECT_EQ(Cache->stats().Rejected, 0u);
   EXPECT_FALSE(
       fs::exists(fs::path(Dir.str()) / "quarantine" / (Key + ".json")));
-  EXPECT_NE(readAll(EntryPath).find("\"version\":3"), std::string::npos)
+  EXPECT_NE(readAll(EntryPath).find(currentVersionField()), std::string::npos)
       << "re-verification overwrites the stale entry in place";
 
   // The migrated entry serves normally.

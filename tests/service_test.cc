@@ -406,6 +406,11 @@ void writeAll(const std::string &Path, const std::string &Bytes) {
   Out << Bytes;
 }
 
+/// The version field a current binary writes into every entry.
+std::string currentVersionField() {
+  return "\"version\":" + std::to_string(ProofCache::EntryVersion);
+}
+
 size_t fileCount(const fs::path &Dir) {
   size_t N = 0;
   std::error_code EC;
@@ -417,19 +422,50 @@ size_t fileCount(const fs::path &Dir) {
 
 TEST(ProofCache, OrphanedTmpFilesAreSweptAtOpen) {
   TempDir Dir("cache-sweep");
-  fs::create_directories(Dir.str());
+  fs::create_directories(Dir.str() + "/tmp");
   // Two stranded temp files from "crashed writers", one real entry.
-  writeAll(Dir.str() + "/aaaa.json.tmp.1234", "half-written junk");
-  writeAll(Dir.str() + "/bbbb.json.tmp.99", "{\"version\":1");
+  writeAll(Dir.str() + "/tmp/aaaa.json.tmp.1234", "half-written junk");
+  writeAll(Dir.str() + "/tmp/bbbb.json.tmp.99", "{\"version\":1");
   writeAll(Dir.str() + "/keep.json", "{}");
 
   std::unique_ptr<ProofCache> Cache = mustOpen(Dir.str());
   ASSERT_NE(Cache, nullptr);
   EXPECT_EQ(Cache->stats().SweptTmp, 2u);
+  EXPECT_FALSE(fs::exists(Dir.str() + "/tmp/aaaa.json.tmp.1234"));
+  EXPECT_FALSE(fs::exists(Dir.str() + "/tmp/bbbb.json.tmp.99"));
+  EXPECT_TRUE(fs::exists(Dir.str() + "/keep.json"))
+      << "only tmp/ files may be swept";
+}
+
+TEST(ProofCache, GcRemovesLegacyRootLevelTmpFiles) {
+  TempDir Dir("cache-gc-legacy-tmp");
+  ProgramPtr Live = kernels::load(kernels::ssh2());
+  std::string LiveId =
+      ProofCache::declId(ProgramFingerprints::compute(*Live).DeclFp);
+  std::unique_ptr<ProofCache> Cache = mustOpen(Dir.str());
+  ASSERT_NE(Cache, nullptr);
+  SchedulerOptions S;
+  S.Cache = Cache.get();
+  verifyPrograms({Live.get()}, S);
+  uint64_t Stores = Cache->stats().Stores;
+  ASSERT_GT(Stores, 0u);
+  EXPECT_EQ(fileCount(fs::path(Dir.str()) / "tmp"), 0u)
+      << "every temp file was renamed over its entry";
+
+  // Orphans of writers that predate tmp/, stranded beside the entries:
+  // open leaves them alone (it lists only tmp/), gc reclaims them.
+  writeAll(Dir.str() + "/aaaa.json.tmp.1234", "half-written junk");
+  writeAll(Dir.str() + "/bbbb.json.tmp.99", "{\"version\":1");
+  std::unique_ptr<ProofCache> Reopened = mustOpen(Dir.str());
+  ASSERT_NE(Reopened, nullptr);
+  EXPECT_EQ(Reopened->stats().SweptTmp, 0u);
+  ProofCache::GcOutcome G = Reopened->gc({LiveId});
+  EXPECT_EQ(G.SweptTmp, 2u);
   EXPECT_FALSE(fs::exists(Dir.str() + "/aaaa.json.tmp.1234"));
   EXPECT_FALSE(fs::exists(Dir.str() + "/bbbb.json.tmp.99"));
-  EXPECT_TRUE(fs::exists(Dir.str() + "/keep.json"))
-      << "only *.json.tmp.* files may be swept";
+  EXPECT_EQ(G.Scanned, Stores) << "temp files are not entries";
+  EXPECT_EQ(G.Kept, Stores);
+  EXPECT_EQ(G.Dropped, 0u);
 }
 
 /// Populates the cache with MixedSrc's provable property and corrupts the
@@ -498,6 +534,51 @@ TEST(ProofCache, BitFlippedCertificateIsQuarantinedAndReVerified) {
   });
 }
 
+TEST(ProofCache, Version3EntryIsStaleMissNotQuarantined) {
+  // Version 3 entries carried a step for every syntactically skipped
+  // handler; their certificates no longer match any re-derivation. Such
+  // an entry left by an older binary is stale, never damage: a plain
+  // miss, not rejected, not quarantined — even when its certificate
+  // would pass today's re-check — then overwritten by a current entry.
+  TempDir Dir("cache-v3");
+  ProgramPtr P = mustLoad(MixedSrc);
+  ASSERT_NE(P, nullptr);
+  ProgramFingerprints FP = ProgramFingerprints::compute(*P);
+  const Property &Fine = P->Properties[1];
+  std::string Key = ProofCache::keyFor(FP.DeclFp, Fine, VerifyOptions{});
+  std::string EntryPath = Dir.str() + "/" + Key + ".json";
+  ASSERT_EQ(ProofCache::EntryVersion, 4);
+
+  std::unique_ptr<ProofCache> Cache = mustOpen(Dir.str());
+  ASSERT_NE(Cache, nullptr);
+  {
+    VerifySession S(*P);
+    ASSERT_EQ(verifyPropertyCached(S, Fine, Cache.get(), &FP).Status,
+              VerifyStatus::Proved);
+  }
+  std::string Entry = readAll(EntryPath);
+  size_t Pos = Entry.find(currentVersionField());
+  ASSERT_NE(Pos, std::string::npos);
+  Entry.replace(Pos, currentVersionField().size(), "\"version\":3");
+  writeAll(EntryPath, Entry);
+
+  std::unique_ptr<ProofCache> Reopened = mustOpen(Dir.str());
+  ASSERT_NE(Reopened, nullptr);
+  {
+    VerifySession S(*P);
+    PropertyResult R = verifyPropertyCached(S, Fine, Reopened.get(), &FP);
+    EXPECT_EQ(R.Status, VerifyStatus::Proved);
+    EXPECT_FALSE(R.CacheHit);
+    EXPECT_TRUE(R.CertChecked);
+  }
+  EXPECT_EQ(Reopened->stats().Misses, 1u);
+  EXPECT_EQ(Reopened->stats().Rejected, 0u);
+  EXPECT_EQ(Reopened->stats().Quarantined, 0u);
+  EXPECT_FALSE(
+      fs::exists(fs::path(Dir.str()) / "quarantine" / (Key + ".json")));
+  EXPECT_NE(readAll(EntryPath).find(currentVersionField()), std::string::npos);
+}
+
 TEST(ProofCache, WrongVersionEntryIsStaleMissNotQuarantined) {
   // A well-formed entry whose version field is simply from another release
   // is *stale*, not damaged: it must decode to a plain miss — no
@@ -519,9 +600,9 @@ TEST(ProofCache, WrongVersionEntryIsStaleMissNotQuarantined) {
   }
 
   std::string Entry = readAll(EntryPath);
-  size_t Pos = Entry.find("\"version\":3");
+  size_t Pos = Entry.find(currentVersionField());
   ASSERT_NE(Pos, std::string::npos);
-  Entry.replace(Pos, std::string("\"version\":3").size(), "\"version\":99");
+  Entry.replace(Pos, currentVersionField().size(), "\"version\":99");
   writeAll(EntryPath, Entry);
 
   {
@@ -537,7 +618,7 @@ TEST(ProofCache, WrongVersionEntryIsStaleMissNotQuarantined) {
       fs::exists(fs::path(Dir.str()) / "quarantine" / (Key + ".json")));
 
   // The re-verification overwrote the stale entry with a current one.
-  EXPECT_NE(readAll(EntryPath).find("\"version\":3"), std::string::npos);
+  EXPECT_NE(readAll(EntryPath).find(currentVersionField()), std::string::npos);
   {
     VerifySession S(*P);
     PropertyResult R = verifyPropertyCached(S, Fine, Cache.get(), &FP);
@@ -906,10 +987,9 @@ std::vector<std::string> runFaultedAcceptanceBatch(unsigned Jobs,
       EXPECT_NE(Pos, std::string::npos);
       Entry[Pos + 25] = char(Entry[Pos + 25] ^ 0x04);
     } else {
-      size_t Pos = Entry.find("\"version\":3");
+      size_t Pos = Entry.find(currentVersionField());
       EXPECT_NE(Pos, std::string::npos);
-      Entry.replace(Pos, std::string("\"version\":3").size(),
-                    "\"version\":99");
+      Entry.replace(Pos, currentVersionField().size(), "\"version\":99");
     }
     writeAll(Path, Entry);
     CorruptKeys.push_back(Key);
