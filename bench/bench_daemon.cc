@@ -2,10 +2,9 @@
 //
 // The reason reflexd exists, measured: the re-verify step of the paper's
 // edit-verify loop through a warm daemon session (parsed program, frozen
-// abstraction, shared cache tiers, and footprint-reusable verdicts all
-// resident) versus the cold one-shot CLI the workflow would otherwise
-// pay per iteration (process spawn, parse, abstraction build, full
-// verification).
+// abstraction and footprint-reusable verdicts all resident) versus the
+// cold one-shot CLI the workflow would otherwise pay per iteration
+// (process spawn, parse, abstraction build, full verification).
 //
 // Protocol: one in-process daemon, one session opened on the pristine
 // kernel (untimed warm-up). Two scenarios, each measured as back-to-back

@@ -1,11 +1,11 @@
 //===- bench/bench_parallel.cc - Parallel + cached verification -----------===//
 //
 // The verification-service bench: all seven kernels (41 properties)
-// verified sequentially, then on N workers (shared frozen abstraction +
-// cross-worker caches, with a sharing-off ablation row), then against a
-// cold and a warm persistent proof cache, every warm hit re-checked in
-// full by the certificate checker. Writes BENCH_parallel.json so later PRs
-// can track the perf trajectory. Timings are medians over `reps`
+// verified sequentially, then on N workers (one frozen abstraction per
+// program shared by every worker), then against a cold and a warm
+// persistent proof cache, every warm hit re-checked in full by the
+// certificate checker. Writes BENCH_parallel.json so later PRs can track
+// the perf trajectory. Timings are medians over `reps`
 // repetitions (medians resist scheduler noise; minima hide it), the
 // sequential-vs-parallel speedups are medians of *paired*
 // adjacent-batch ratios (neighboring batches see nearly the same
@@ -107,9 +107,7 @@ int main(int Argc, char **Argv) {
               S.Programs.size(), kernels::totalProperties());
 
   // Measured configurations: the sequential baseline, the parallel sweep
-  // (2, 4, ..., MaxJobs; dedup, ascending), and the sharing-off ablation
-  // at the widest worker count (private per-worker abstractions and
-  // caches, i.e. the pre-sharing scheduler; recorded, not gated).
+  // (2, 4, ..., MaxJobs; dedup, ascending).
   std::vector<unsigned> JobCounts;
   for (unsigned J = 2; J < MaxJobs; J *= 2)
     JobCounts.push_back(J);
@@ -133,8 +131,6 @@ int main(int Argc, char **Argv) {
   BatchOutcome SeqOut;
   std::vector<benchutil::PairedSamples> ParPairs(JobCounts.size());
   std::vector<BatchOutcome> ParOut(JobCounts.size());
-  std::vector<double> NoShareSamples;
-  BatchOutcome NoShareOut;
   for (size_t JI = 0; JI < JobCounts.size(); ++JI) {
     SchedulerOptions Par;
     Par.Jobs = JobCounts[JI];
@@ -148,14 +144,6 @@ int main(int Argc, char **Argv) {
   if (JobCounts.empty())
     for (unsigned R = 0; R < Runs * Inner; ++R)
       SeqSamples.push_back(medianOverRuns(Sub, S.Programs, Seq, &SeqOut));
-  if (MaxJobs >= 2) {
-    SchedulerOptions NS;
-    NS.Jobs = MaxJobs;
-    NS.SharedCaches = false;
-    for (unsigned R = 0; R < Runs * Inner; ++R)
-      NoShareSamples.push_back(
-          medianOverRuns(Sub, S.Programs, NS, &NoShareOut));
-  }
 
   double SeqMs = benchutil::median(SeqSamples);
   auto SeqVerdicts = benchutil::flatVerdicts(SeqOut);
@@ -182,20 +170,6 @@ int main(int Argc, char **Argv) {
     char Label[64];
     std::snprintf(Label, sizeof(Label), "parallel (%u workers)", J);
     std::printf("%-24s %10.2f ms   %.2fx\n", Label, Ms, Speedup);
-  }
-
-  double NoShareMs = 0;
-  if (MaxJobs >= 2) {
-    NoShareMs = benchutil::median(NoShareSamples);
-    if (benchutil::flatVerdicts(NoShareOut) != SeqVerdicts) {
-      std::fprintf(stderr, "FAIL: sharing-off verdicts differ from "
-                           "sequential\n");
-      Deterministic = false;
-    }
-    char Label[64];
-    std::snprintf(Label, sizeof(Label), "no-share (%u workers)", MaxJobs);
-    std::printf("%-24s %10.2f ms   %.2fx\n", Label, NoShareMs,
-                NoShareMs > 0 ? SeqMs / NoShareMs : 0);
   }
 
   // Proof cache: cold populate, then a warm phase that must serve all 41
@@ -275,10 +249,6 @@ int main(int Argc, char **Argv) {
     W.endObject();
   }
   W.endArray();
-  if (MaxJobs >= 2) {
-    W.key("noshare_ms");
-    W.value(NoShareMs);
-  }
   W.key("cache");
   W.beginObject();
   W.key("cold_ms");

@@ -147,7 +147,6 @@ void ReflexDaemon::recoverFromJournal(const JournalReplay &Replay) {
     Sess->Prog = P.take();
     Sess->Jobs = Req->Jobs;
     Sess->Retries = Req->Retries;
-    Sess->SharedCaches = Req->SharedCaches;
     Sess->UseProofCache = Req->UseProofCache;
     Sess->Verify = Req->Verify;
     Sess->Share = std::make_unique<VerifyShare>();
@@ -559,7 +558,6 @@ ReflexDaemon::schedulerOptionsFor(const DaemonRequest &R) const {
   SchedulerOptions S;
   S.Jobs = R.Jobs ? R.Jobs : Opts.Jobs;
   S.Retries = R.Retries;
-  S.SharedCaches = R.SharedCaches;
   S.Verify = R.Verify;
   if (R.UseProofCache)
     S.Cache = Cache.get();
@@ -647,7 +645,6 @@ ReflexDaemon::doOpenSession(const DaemonRequest &R,
   Sess->Prog = P.take();
   Sess->Jobs = R.Jobs;
   Sess->Retries = R.Retries;
-  Sess->SharedCaches = R.SharedCaches;
   Sess->UseProofCache = R.UseProofCache;
   Sess->Verify = R.Verify;
   Sess->Share = std::make_unique<VerifyShare>();
@@ -737,12 +734,12 @@ std::string ReflexDaemon::doEdit(const DaemonRequest &R,
       return encodeDaemonError(P.error());
     SourceChanged = Source != Sess->Source;
     if (SourceChanged) {
-      // The program changed: the warm frozen abstraction and both shared
-      // cache tiers reference the old program's terms, so replace the
-      // share before the old Program dies. The incremental verifier's
-      // verdict store survives — it holds only strings and footprints,
-      // and the footprint comparison against the new fingerprints is
-      // exactly what decides which verdicts live on.
+      // The program changed: the warm frozen abstraction references the
+      // old program's terms, so replace the share before the old Program
+      // dies. The incremental verifier's verdict store survives — it
+      // holds only strings and footprints, and the footprint comparison
+      // against the new fingerprints is exactly what decides which
+      // verdicts live on.
       Sess->Share = std::make_unique<VerifyShare>();
       Sess->Prog = P.take();
       Sess->Source = std::move(Source);
@@ -752,7 +749,6 @@ std::string ReflexDaemon::doEdit(const DaemonRequest &R,
   DaemonRequest Base;
   Base.Jobs = Sess->Jobs;
   Base.Retries = Sess->Retries;
-  Base.SharedCaches = Sess->SharedCaches;
   Base.UseProofCache = Sess->UseProofCache;
   Base.Verify = Sess->Verify;
   SchedulerOptions S = schedulerOptionsFor(Base);

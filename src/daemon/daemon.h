@@ -11,10 +11,9 @@
 /// build, cache open) for every iteration wastes exactly the state that
 /// makes re-verification cheap. The daemon keeps it alive across
 /// requests: one shared persistent ProofCache, and per-program
-/// *sessions* holding the parsed program, the warm frozen abstraction +
-/// cross-worker cache tiers (service/scheduler.h VerifyShare), and the
-/// incremental verifier's verdict store with proof footprints
-/// (verify/incremental.h).
+/// *sessions* holding the parsed program, the warm frozen abstraction
+/// (service/scheduler.h VerifyShare), and the incremental verifier's
+/// verdict store with proof footprints (verify/incremental.h).
 ///
 /// Transport: Unix-domain stream socket, newline-delimited JSON frames
 /// (daemon/protocol.h). One thread per client; requests on one
@@ -26,17 +25,17 @@
 /// An `edit` request re-fingerprints the session's program, reuses
 /// every verdict whose proof footprint is disjoint from the edit, and
 /// re-verifies only the dependents — *through the scheduler*, as one
-/// batch sharing the session's frozen abstraction and sharded caches
+/// batch sharing the session's frozen abstraction
 /// (IncrementalVerifier::setScheduler; this resolves the roadmap item
 /// about wiring the incremental verifier through the frozen-abstraction
 /// path).
 ///
 /// Robustness: a client that disconnects mid-request fires that
 /// request's CancelFlag (SchedulerOptions::Cancel) — the batch's jobs
-/// abort cooperatively, and because Aborted results are never cached or
-/// published to shared tiers, the abandoned request cannot poison any
-/// later one. A per-request wall deadline (--request-timeout-ms) rides
-/// the same token. Sessions are LRU-bounded (--max-sessions).
+/// abort cooperatively, and because Aborted results are never cached,
+/// the abandoned request cannot poison any later one. A per-request wall
+/// deadline (--request-timeout-ms) rides the same token. Sessions are
+/// LRU-bounded (--max-sessions).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -159,12 +158,10 @@ private:
     /// (program-lineage, options) pair; change options by reopening).
     unsigned Jobs = 0;
     unsigned Retries = 0;
-    bool SharedCaches = true;
     bool UseProofCache = true;
     VerifyOptions Verify;
-    /// Warm frozen abstraction + shared cache tiers; replaced wholesale
-    /// when an edit changes the program (the old tiers reference the old
-    /// frozen base).
+    /// Warm frozen abstraction; replaced wholesale when an edit changes
+    /// the program (the old abstraction references the old program).
     std::unique_ptr<VerifyShare> Share;
     std::unique_ptr<IncrementalVerifier> Inc;
     uint64_t LastUsed = 0;

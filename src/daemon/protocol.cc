@@ -114,7 +114,6 @@ Result<DaemonRequest> decodeDaemonRequest(const std::string &Frame) {
   REFLEX_FLAG(R.Verify.Simplify, "no_simplify", true);
   REFLEX_FLAG(R.Verify.CacheInvariants, "no_cache", true);
   REFLEX_FLAG(R.Verify.CheckCertificates, "no_check", true);
-  REFLEX_FLAG(R.SharedCaches, "no_share", true);
   REFLEX_FLAG(R.UseProofCache, "no_proof_cache", true);
 #undef REFLEX_NUM
 #undef REFLEX_FLAG
@@ -223,7 +222,6 @@ std::string encodeOpenSessionFrame(const DaemonRequest &R,
   W.field("no_simplify", !R.Verify.Simplify);
   W.field("no_cache", !R.Verify.CacheInvariants);
   W.field("no_check", !R.Verify.CheckCertificates);
-  W.field("no_share", !R.SharedCaches);
   W.field("no_proof_cache", !R.UseProofCache);
   W.field("engine", engineKindName(R.Verify.Engine));
   W.endObject();

@@ -26,13 +26,13 @@
 /// The "options" object mirrors the `reflex verify` flags one-to-one
 /// (same keys modulo `--` and `-`→`_`): jobs, retries, bmc_depth,
 /// timeout_ms, step_budget, no_skip, no_simplify, no_cache, no_check,
-/// no_share, engine, plus no_proof_cache (skip the daemon's persistent
-/// cache for this request/session). Unknown option keys are ignored, so
-/// journals written by older daemons (which also recorded fast_cache)
-/// still recover. Because the mapping is
-/// shared with the CLI's semantics, daemon verdicts are byte-identical
-/// to one-shot `reflex verify` runs — the determinism contract
-/// (verdict = f(program, property, options)) holds across the wire.
+/// engine, plus no_proof_cache (skip the daemon's persistent cache for
+/// this request/session). Unknown option keys are ignored, so journals
+/// and clients from older daemons, which also sent keys of since-retired
+/// flags, still recover and decode. Because the mapping is shared with
+/// the CLI's semantics, daemon verdicts are byte-identical to one-shot
+/// `reflex verify` runs — the determinism contract (verdict =
+/// f(program, property, options)) holds across the wire.
 /// bmc_states / bmc_payloads carry the counterexample-search resource
 /// limits (VerifyOptions::Bmc), defaulting to BmcOptions' own defaults;
 /// wide-alphabet clients (the generated corpus) shrink bmc_payloads so
@@ -62,11 +62,10 @@ struct DaemonRequest {
   std::string Session;     ///< session verbs only
   std::string ProgramText; ///< inline source ("program")
   std::string ProgramPath; ///< or a file the daemon reads ("path")
-  /// Scheduler knobs (option keys jobs/retries/no_share). Jobs 0 means
-  /// "the daemon's --jobs default".
+  /// Scheduler knobs (option keys jobs/retries). Jobs 0 means "the
+  /// daemon's --jobs default".
   unsigned Jobs = 0;
   unsigned Retries = 0;
-  bool SharedCaches = true;
   /// Consult the daemon's persistent proof cache (off via no_proof_cache).
   bool UseProofCache = true;
   /// Per-property verification options, mapped exactly as the CLI maps

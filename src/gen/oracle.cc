@@ -120,7 +120,6 @@ OracleReport runOracle(const GeneratedCorpus &Corpus,
   // --- Arm 1+2: baseline verdicts vs construction ground truth ----------
   SchedulerOptions Seq;
   Seq.Jobs = 1;
-  Seq.SharedCaches = false;
   Seq.Verify = corpusVerifyOptions();
   BatchOutcome Baseline = verifyPrograms(Programs, Seq);
 
@@ -254,17 +253,8 @@ OracleReport runOracle(const GeneratedCorpus &Corpus,
     {
       SchedulerOptions Par = Seq;
       Par.Jobs = Opts.Jobs;
-      Par.SharedCaches = true;
       compareArm(Corpus, Base, verifyPrograms(Programs, Par),
-                 ParityMode::FullKey, "parallel+sharing", Rep);
-      ++Rep.ParityArms;
-    }
-    {
-      SchedulerOptions NoShare = Seq;
-      NoShare.Jobs = Opts.Jobs;
-      NoShare.SharedCaches = false;
-      compareArm(Corpus, Base, verifyPrograms(Programs, NoShare),
-                 ParityMode::FullKey, "parallel+noshare", Rep);
+                 ParityMode::FullKey, "parallel", Rep);
       ++Rep.ParityArms;
     }
     // Cache-state parity: populate a throwaway persistent cache, then a
@@ -283,7 +273,6 @@ OracleReport runOracle(const GeneratedCorpus &Corpus,
     } else {
       SchedulerOptions Cached = Seq;
       Cached.Jobs = Opts.Jobs;
-      Cached.SharedCaches = true;
       Cached.Cache = Cache->get();
       compareArm(Corpus, Base, verifyPrograms(Programs, Cached),
                  ParityMode::FullKey, "cache-cold", Rep);

@@ -26,10 +26,10 @@
 ///     and every property the prover certified must hold on it (the
 ///     end-to-end refinement guarantee on machine-made programs).
 ///  4. parity — the whole corpus re-verified across engines × jobs ×
-///     sharing × cache states; statuses and reasons must be
-///     byte-identical across jobs/sharing/cache (the determinism
-///     contract), statuses identical under the portfolio (induction runs
-///     first in it, so every baseline verdict must land), and
+///     cache states; statuses and reasons must be byte-identical
+///     across jobs/cache (the determinism contract), statuses identical
+///     under the portfolio (induction runs first in it, so every
+///     baseline verdict must land), and
 ///     standalone PDR must never *contradict* the baseline (it may
 ///     answer Unknown on these history obligations — see docs/CORPUS.md
 ///     — but a definite disagreeing verdict is a soundness bug).
@@ -62,7 +62,7 @@ struct OracleOptions {
   uint64_t InterpSeed = 0x5EEDF00D;
   /// Arm 4: re-verify under PDR and the portfolio (status parity).
   bool CrossEngines = true;
-  /// Arm 4: re-verify across jobs/sharing/cache-state (byte parity).
+  /// Arm 4: re-verify across jobs/cache-state (byte parity).
   bool CrossSchedulers = true;
   /// Directory for the cache-state parity arm's throwaway proof cache;
   /// empty picks a fresh directory under the system temp dir. Removed

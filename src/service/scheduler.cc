@@ -61,16 +61,6 @@ struct WorkCounters {
   uint64_t SolverReasonLogBytes = 0;
 };
 
-/// Per-program shared state under SchedulerOptions::SharedCaches: the
-/// phase-1 frozen abstraction (built once by whichever worker gets there
-/// first, then shared read-only) and the phase-2 cross-worker cache
-/// tiers. Heap-allocated per program because the members are immovable.
-struct ProgramShare {
-  std::mutex Mu; ///< guards Abs (get-or-build); caches lock internally
-  std::shared_ptr<const FrozenAbstraction> Abs;
-  SharedVerifyCaches Caches;
-};
-
 /// The shared core behind verifyPrograms and verifyPropertySubset:
 /// verifies, for each program, exactly the properties whose declaration
 /// indices appear in its PropIdx list, slotting results in list order.
@@ -167,52 +157,37 @@ BatchOutcome runBatch(const std::vector<const Program *> &Programs,
   if (Threads == 0)
     Threads = 1;
 
-  // Phase-1 slots: one shared frozen abstraction (plus cross-worker cache
-  // tiers) per program, built on first demand. A single-program batch
+  // Phase-1 slots: one frozen abstraction per program, built on first
+  // demand and shared read-only by every worker. A single-program batch
   // handed a persistent VerifyShare uses — and warms — that instead, so
-  // the abstraction and the cache tiers survive into the owner's next
-  // batch (the daemon's session warm path).
-  std::vector<std::unique_ptr<ProgramShare>> Shares;
-  VerifyShare *Persist =
-      (Opts.SharedCaches && Programs.size() == 1) ? Opts.Share : nullptr;
-  if (Opts.SharedCaches && !Persist) {
-    Shares.reserve(Programs.size());
-    for (size_t PI = 0; PI < Programs.size(); ++PI)
-      Shares.push_back(std::make_unique<ProgramShare>());
-  }
+  // the abstraction survives into the owner's next batch (the daemon's
+  // session warm path).
+  std::vector<std::unique_ptr<VerifyShare>> Owned;
+  std::vector<VerifyShare *> ShareOf(Programs.size(), Opts.Share);
+  if (Programs.size() != 1 || !Opts.Share)
+    for (VerifyShare *&Sh : ShareOf) {
+      Owned.push_back(std::make_unique<VerifyShare>());
+      Sh = Owned.back().get();
+    }
 
-  // Builds a session for one program. Shared mode: get-or-build the
-  // program's FrozenAbstraction under its mutex and lay a private overlay
-  // session over it; a build whose budget expired is *not* left in the
-  // shared slot, so a retry rebuilds from scratch — matching the old
-  // fresh-session-per-retry semantics. The cross-worker cache tiers are
-  // attached when more than one thread actually runs (on a single thread
-  // the private tiers already see every entry first; the shared tiers
-  // would only add locking and publish copies) — or always, for a
-  // persistent share, whose whole point is carrying entries across
-  // batches after this batch's private sessions are gone.
+  // Builds a worker's session for one program: get-or-build the program's
+  // FrozenAbstraction under its share's mutex and lay a private overlay
+  // session over it. A build whose budget expired is *not* left in the
+  // share, so a retry rebuilds from scratch.
   auto MakeSession = [&](size_t ProgIdx) -> std::unique_ptr<VerifySession> {
-    const Program &P = *Programs[ProgIdx];
-    if (!Opts.SharedCaches)
-      return std::make_unique<VerifySession>(P, VOpts);
-    std::mutex &ShMu = Persist ? Persist->Mu : Shares[ProgIdx]->Mu;
-    std::shared_ptr<const FrozenAbstraction> &ShAbs =
-        Persist ? Persist->Abs : Shares[ProgIdx]->Abs;
-    SharedVerifyCaches &ShCaches =
-        Persist ? Persist->Caches : Shares[ProgIdx]->Caches;
+    VerifyShare &Sh = *ShareOf[ProgIdx];
     std::shared_ptr<const FrozenAbstraction> Abs;
     {
-      std::lock_guard<std::mutex> Lock(ShMu);
-      if (!ShAbs) {
-        ShAbs = FrozenAbstraction::build(P, VOpts);
-        if (ShAbs->buildOutcome() != BudgetOutcome::Ok)
-          Abs = std::move(ShAbs); // keep the failed build out of the slot
+      std::lock_guard<std::mutex> Lock(Sh.Mu);
+      if (!Sh.Abs) {
+        Sh.Abs = FrozenAbstraction::build(*Programs[ProgIdx], VOpts);
+        if (Sh.Abs->buildOutcome() != BudgetOutcome::Ok)
+          Abs = std::move(Sh.Abs); // keep the failed build out of the slot
       }
       if (!Abs)
-        Abs = ShAbs;
+        Abs = Sh.Abs;
     }
-    return std::make_unique<VerifySession>(
-        std::move(Abs), (Persist || Threads > 1) ? &ShCaches : nullptr);
+    return std::make_unique<VerifySession>(std::move(Abs));
   };
 
   // One job, with isolation and retries: every attempt runs inside a
@@ -309,9 +284,9 @@ BatchOutcome runBatch(const std::vector<const Program *> &Programs,
   };
 
   auto WorkerBody = [&] {
-    // Per-worker sessions: the overlay TermContext and the private memo
-    // tiers are not thread-safe and are never shared across workers (the
-    // frozen base and the sharded cache tiers underneath them are).
+    // Per-worker sessions: the overlay TermContext, the solver memo and
+    // the invariant cache are not thread-safe and are never shared across
+    // workers (the frozen base underneath them is).
     std::map<size_t, std::unique_ptr<VerifySession>> Sessions;
     for (;;) {
       size_t J = NextJob.fetch_add(1, std::memory_order_relaxed);
@@ -346,7 +321,7 @@ BatchOutcome runBatch(const std::vector<const Program *> &Programs,
       C.SolverQueries += Session->solverQueries();
       C.InvariantCacheHits += Session->invariantCacheHits();
       const SolverStats &SS = Session->solverStats();
-      C.SolverMemoHits += SS.MemoHits + SS.SharedMemoHits;
+      C.SolverMemoHits += SS.MemoHits;
       C.SolverAssumptionChecks += SS.AssumptionChecks;
       C.SolverTrailUndos += SS.TrailUndos;
       C.SolverReasonLogBytes += SS.ReasonLogBytes;

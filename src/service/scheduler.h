@@ -12,13 +12,11 @@
 /// executed handler summaries, frozen immutable — and share it read-only
 /// across workers via shared_ptr. Phase 2, per property in parallel:
 /// each worker's VerifySession lays a private overlay TermContext over
-/// the frozen base (property-local terms are single-threaded state and
-/// stay private), while completed solver-memo and invariant-cache
-/// entries whose terms live in the frozen base are published to sharded
-/// cross-worker caches (SharedVerifyCaches) so one worker's finished
-/// proof work is reusable by the others. Properties are handed out from
-/// a global work list (dynamic load balancing — NI properties dominate
-/// runtimes, so static partitioning would straggle).
+/// the frozen base; property-local terms, the solver memo and the §6.4
+/// invariant cache are single-threaded state and stay private to the
+/// session. Properties are handed out from a global work list (dynamic
+/// load balancing — NI properties dominate runtimes, so static
+/// partitioning would straggle).
 ///
 /// Identical jobs are deduplicated before dispatch: two (program,
 /// property) pairs whose program fingerprints (declarations + every
@@ -31,12 +29,11 @@
 ///
 /// Determinism: per-property statuses, reasons, and certificates are
 /// functions of (program, property, options) only — the prover is
-/// deterministic and all cache tiers (private and shared) are
-/// semantically transparent: a hit returns exactly what the worker would
-/// have computed. So any worker count, with sharing on or off, produces
-/// the same verdict list. Reports are merged with results in declaration
-/// order and aggregate work counters summed across every session that
-/// served the program.
+/// deterministic and every cache is semantically transparent: a hit
+/// returns exactly what the worker would have computed. So any worker
+/// count produces the same verdict list. Reports are merged with results
+/// in declaration order and aggregate work counters summed across every
+/// session that served the program.
 ///
 /// Fault tolerance: every job runs inside a catch-all; a worker that
 /// throws (or a job that exhausts its budget) is retried on a fresh
@@ -64,20 +61,18 @@ namespace reflex {
 
 /// A persistent per-program share, owned by a caller that verifies the
 /// same program across many batches (the daemon's open sessions, the
-/// incremental verifier's edit loop): the phase-1 FrozenAbstraction plus
-/// the phase-2 cross-worker cache tiers, built by the first batch that
-/// needs them and reused by every later batch handed the same share.
-/// This is what lets an `edit` request's re-verified dependents — and
-/// every identical-program request after it — skip abstraction
-/// construction entirely. Contract: a share serves exactly one
-/// (program, VerifyOptions) pair; after an edit the owner must replace
-/// it with a fresh instance (the terms in both tiers reference the old
-/// frozen base). All tiers are semantically transparent, so verdicts
-/// are byte-identical with or without a share.
+/// incremental verifier's edit loop): the phase-1 FrozenAbstraction,
+/// built by the first batch that needs it and reused by every later
+/// batch handed the same share. This is what lets an `edit` request's
+/// re-verified dependents — and every identical-program request after
+/// it — skip abstraction construction entirely. Contract: a share serves
+/// exactly one (program, VerifyOptions) pair; after an edit the owner
+/// must replace it with a fresh instance. The scheduler also uses one
+/// share per program for the slots of a single batch. Verdicts are
+/// byte-identical with or without a share.
 struct VerifyShare {
-  std::mutex Mu; ///< guards Abs (get-or-build); caches lock internally
+  std::mutex Mu; ///< guards Abs (get-or-build)
   std::shared_ptr<const FrozenAbstraction> Abs;
-  SharedVerifyCaches Caches;
 
   bool warm() const { return Abs != nullptr; }
 };
@@ -111,28 +106,20 @@ struct SchedulerOptions {
   /// exhausts deterministically). Cache IO faults are separate: attach
   /// the same plan to the cache via ProofCache::setFaultPlan.
   const FaultPlan *Faults = nullptr;
-  /// Phase-1/phase-2 sharing (docs/PERF.md): build each program's
-  /// abstraction once as a shared FrozenAbstraction and attach the
-  /// cross-worker cache tiers (solver memo + invariant cache). Off, every
-  /// worker builds a fully private session per program — the pre-sharing
-  /// behavior, kept as an ablation knob for the bench. Either setting
-  /// produces identical verdicts (caches are semantically transparent).
-  bool SharedCaches = true;
   /// Reusable batch cancellation token. When set, every job's budget
   /// polls it (in addition to Verify's own budgets — the token replaces
   /// Verify.Cancel for the batch), and jobs the cancellation beats to
   /// dispatch are aborted in place without running. Cancelled jobs
-  /// report VerifyStatus::Aborted; Aborted is never retried, never
-  /// cached, and never published to shared tiers, so a cancelled batch
-  /// cannot poison later identical batches (tests assert
-  /// byte-identical reruns). The token is reusable in the sense that
-  /// one flag can cover many batches (a daemon client's whole
+  /// report VerifyStatus::Aborted; Aborted is never retried and never
+  /// cached, so a cancelled batch cannot poison later identical batches
+  /// (tests assert byte-identical reruns). The token is reusable in the
+  /// sense that one flag can cover many batches (a daemon client's whole
   /// connection); once fired it stays fired.
   std::shared_ptr<CancelFlag> Cancel;
   /// Optional persistent share (see VerifyShare) for single-program
-  /// batches. Ignored when the batch has more than one program or
-  /// SharedCaches is off. The share must outlive the call and belong to
-  /// this exact (program, Verify) pair.
+  /// batches. Ignored when the batch has more than one program. The
+  /// share must outlive the call and belong to this exact (program,
+  /// Verify) pair.
   VerifyShare *Share = nullptr;
 };
 
@@ -171,10 +158,9 @@ VerificationReport verifyParallel(const Program &P,
 /// back in the same order). This is the incremental verifier's dependent
 /// re-verification path — after an edit, the footprint-overlapping
 /// properties are re-proved as one batch sharing a single frozen
-/// abstraction and the sharded cache tiers (plus, via
-/// SchedulerOptions::Share, any abstraction a session owner kept warm).
-/// Out-of-range indices are ignored. The returned BatchOutcome has
-/// exactly one report.
+/// abstraction (via SchedulerOptions::Share, one a session owner kept
+/// warm). Out-of-range indices are ignored. The returned BatchOutcome
+/// has exactly one report.
 BatchOutcome verifyPropertySubset(const Program &P,
                                   const std::vector<size_t> &PropIdx,
                                   const SchedulerOptions &Opts);

@@ -1145,7 +1145,7 @@ Solver::Suspended::~Suspended() {
 }
 
 /// The single query funnel: budget poll, memo on the exact asserted set,
-/// shared-tier gating, then the incremental core or the reference solver.
+/// then the incremental core or the reference solver.
 SatResult Solver::answer(const std::vector<Lit> &Assumptions, bool Scoped) {
   // Budget poll: one step per query. Expired queries answer Maybe (sound)
   // and bypass the memo entirely — see setDeadline.
@@ -1158,16 +1158,11 @@ SatResult Solver::answer(const std::vector<Lit> &Assumptions, bool Scoped) {
   // hash-consed so ids identify atoms.
   std::vector<uint64_t> Key;
   Key.reserve((Scoped ? StackLits.size() : 0) + Assumptions.size());
-  bool BasePure = true;
-  auto add = [&](const Lit &L) {
-    Key.push_back(litKey(L));
-    BasePure &= Ctx.inFrozenBase(L.Atom);
-  };
   if (Scoped)
     for (const Lit &L : StackLits)
-      add(L);
+      Key.push_back(litKey(L));
   for (const Lit &L : Assumptions)
-    add(L);
+    Key.push_back(litKey(L));
   std::sort(Key.begin(), Key.end());
   Key.erase(std::unique(Key.begin(), Key.end()), Key.end());
   uint64_t H = 1469598103934665603ULL;
@@ -1190,20 +1185,6 @@ SatResult Solver::answer(const std::vector<Lit> &Assumptions, bool Scoped) {
       return It->second;
     }
   }
-  // Cross-worker tier: eligible only for scope-0 checkLits queries whose
-  // atoms all live in the frozen base, so the id-derived key identifies
-  // the same query in every worker's overlay. Assumption-scoped results
-  // stay private by contract (docs/SOLVER.md). A hit is copied into the
-  // private memo and does not count as a solved query.
-  bool ShareEligible =
-      MemoEnabled && Shared && !Scoped && ScopeMarks.empty() && BasePure;
-  if (ShareEligible)
-    if (std::optional<SatResult> Hit = Shared->lookup(H)) {
-      Memo.emplace(H, *Hit);
-      ++Stats.SharedMemoHits;
-      return *Hit;
-    }
-
   SatResult R;
   ReasonTrail T;
   bool WantLog = LogEnabled && Incremental;
@@ -1231,11 +1212,8 @@ SatResult Solver::answer(const std::vector<Lit> &Assumptions, bool Scoped) {
                             T.Query.size() * sizeof(Lit);
     Trails.push_back(std::move(T));
   }
-  if (MemoEnabled) {
+  if (MemoEnabled)
     Memo.emplace(H, R);
-    if (ShareEligible)
-      Shared->publish(H, R);
-  }
   return R;
 }
 

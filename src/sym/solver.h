@@ -46,10 +46,7 @@
 #include "support/deadline.h"
 #include "sym/term.h"
 
-#include <array>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -121,65 +118,6 @@ bool replayReasonTrail(const TermContext &Ctx, const ReasonTrail &T,
 std::string formatReasonTrail(const TermContext &Ctx, const ReasonTrail &T);
 
 //===----------------------------------------------------------------------===//
-// Shared memo tier
-//===----------------------------------------------------------------------===//
-
-/// A cross-worker tier for the solver memo, sharded to keep lock traffic
-/// off the hot path. Workers verifying properties of the same frozen
-/// abstraction publish solved queries here and consult it after a private
-/// memo miss. Only queries whose atoms all live in the frozen base context
-/// are eligible (their ids — and hence the memo key — mean the same thing
-/// in every worker's overlay); overlay-local queries stay private.
-/// Assumption-scoped results are additionally excluded: only scope-0
-/// checkLits results are published or looked up here (the scoped fast
-/// path's latched conflicts and stack bookkeeping are worker-local).
-///
-/// Sharing is semantically transparent: a hit returns exactly the result
-/// solve() would have computed, because the solver is deterministic over a
-/// fixed term context and expired-budget queries answer Maybe *before*
-/// reaching the memo (so tainted results are never published).
-class SharedSolverMemo {
-public:
-  std::optional<SatResult> lookup(uint64_t Key) const {
-    const Bucket &B = shard(Key);
-    std::shared_lock<std::shared_mutex> Lock(B.Mu);
-    auto It = B.Map.find(Key);
-    if (It == B.Map.end())
-      return std::nullopt;
-    return It->second;
-  }
-
-  void publish(uint64_t Key, SatResult R) {
-    Bucket &B = shard(Key);
-    std::unique_lock<std::shared_mutex> Lock(B.Mu);
-    B.Map.emplace(Key, R);
-  }
-
-  /// Total published entries (test hook for the scope-0-only publication
-  /// contract).
-  size_t size() const {
-    size_t N = 0;
-    for (const Bucket &B : Shards) {
-      std::shared_lock<std::shared_mutex> Lock(B.Mu);
-      N += B.Map.size();
-    }
-    return N;
-  }
-
-private:
-  struct Bucket {
-    mutable std::shared_mutex Mu;
-    std::unordered_map<uint64_t, SatResult> Map;
-  };
-  static constexpr size_t NumShards = 16;
-  Bucket &shard(uint64_t Key) { return Shards[(Key >> 4) % NumShards]; }
-  const Bucket &shard(uint64_t Key) const {
-    return Shards[(Key >> 4) % NumShards];
-  }
-  std::array<Bucket, NumShards> Shards;
-};
-
-//===----------------------------------------------------------------------===//
 // Solver
 //===----------------------------------------------------------------------===//
 
@@ -189,8 +127,7 @@ private:
 /// daemon `stats` verb, and `--json`.
 struct SolverStats {
   uint64_t QueriesSolved = 0;    ///< memo-miss solves (scratch or scoped)
-  uint64_t MemoHits = 0;         ///< private memo hits
-  uint64_t SharedMemoHits = 0;   ///< cross-worker memo hits
+  uint64_t MemoHits = 0;         ///< memo hits
   uint64_t AssumptionChecks = 0; ///< scoped checks (stack + assumptions)
   uint64_t AssumptionHits = 0;   ///< scoped checks answered by the memo
   uint64_t Pushes = 0;           ///< scopes opened
@@ -215,12 +152,6 @@ public:
   /// subproofs at key cut points" optimization (§6.4) and is switched off
   /// together with the invariant-proof cache in the ablation bench.
   void setMemoEnabled(bool On) { MemoEnabled = On; }
-
-  /// Attaches (or detaches, with nullptr) a cross-worker memo tier. Only
-  /// meaningful when Ctx is an overlay over a frozen base shared with the
-  /// other workers; scope-0 queries over base-only atoms are looked
-  /// up/published there. No effect while the private memo is disabled.
-  void setSharedMemo(SharedSolverMemo *M) { Shared = M; }
 
   /// Installs (or clears, with nullptr) a cooperative budget token.
   /// Every query polls it exactly once; once expired, queries answer
@@ -356,8 +287,6 @@ private:
 
   SatResult solveReference(const std::vector<Lit> &Lits);
   SatResult answer(const std::vector<Lit> &Assumptions, bool Scoped);
-  uint64_t keyFor(const std::vector<Lit> &Assumptions, bool &BasePure,
-                  std::vector<Lit> *FullOut) const;
 
   TermContext &Ctx;
   std::unique_ptr<IncrementalCore> Core;
@@ -365,7 +294,6 @@ private:
   bool MemoEnabled = true;
   bool Incremental = true;
   bool LogEnabled = false;
-  SharedSolverMemo *Shared = nullptr;
   Deadline *Budget = nullptr;
   mutable SolverStats Stats;
   std::vector<ReasonTrail> Trails;

@@ -151,17 +151,16 @@ IncrementalVerifier::Outcome IncrementalVerifier::verify(const Program &P) {
   }
 
   // Pass 2: verify the needed properties — either through the parallel
-  // scheduler as one batch sharing a frozen abstraction and the sharded
-  // cache tiers (setScheduler; this is the daemon's `edit` path), or on
-  // one private sequential session. Both are verdict-identical.
+  // scheduler as one batch sharing a frozen abstraction (setScheduler;
+  // this is the daemon's `edit` path), or on one private sequential
+  // session. Both are verdict-identical.
   if (!NeedIdx.empty()) {
     if (Sched) {
       // Seed the persistent share's phase-1 slot with the abstraction
       // already built for the path fingerprints, so the batch's workers
       // do not rebuild it. Budget-failed builds stay out of the slot,
       // exactly as the scheduler's own get-or-build keeps them out.
-      if (Sched->SharedCaches && Sched->Share && Abs &&
-          Abs->buildOutcome() == BudgetOutcome::Ok) {
+      if (Sched->Share && Abs && Abs->buildOutcome() == BudgetOutcome::Ok) {
         std::lock_guard<std::mutex> Lock(Sched->Share->Mu);
         if (!Sched->Share->Abs)
           Sched->Share->Abs = Abs;

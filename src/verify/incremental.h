@@ -83,12 +83,11 @@ public:
   /// (service/scheduler.h) instead of a private sequential session: the
   /// properties needing verification after an edit are submitted as one
   /// verifyPropertySubset batch, so they share a single frozen
-  /// abstraction, the sharded cross-worker cache tiers, and — when \p S
-  /// carries a SchedulerOptions::Share — any abstraction the session
-  /// owner kept warm from previous calls. \p S.Verify and \p S.Cache are
-  /// overwritten with this verifier's options and cache (the determinism
-  /// contract keys verdicts on them). Verdicts are byte-identical to the
-  /// sequential path for any worker count.
+  /// abstraction — when \p S carries a SchedulerOptions::Share, the one
+  /// the session owner kept warm from previous calls. \p S.Verify and
+  /// \p S.Cache are overwritten with this verifier's options and cache
+  /// (the determinism contract keys verdicts on them). Verdicts are
+  /// byte-identical to the sequential path for any worker count.
   void setScheduler(const SchedulerOptions &S);
 
   /// Audit mode: after serving, re-prove every reused verdict from

@@ -458,28 +458,6 @@ private:
         }
         return adoptRecord(Key, It->second);
       }
-      // Cross-worker tier. Entries are published guard-stripped (see
-      // SharedInvariantCache); graft this candidate's own guard back in —
-      // the key's rendering pins the guard, so equal keys mean equal
-      // guards.
-      if (Cache.Shared) {
-        if (std::optional<SharedInvariantCache::Entry> SharedHit =
-                Cache.Shared->lookup(Key)) {
-          std::optional<InvariantRecord> Entry = std::move(SharedHit->Rec);
-          if (Entry) {
-            Entry->Guard = Inv.Guard;
-            Entry->Action = Inv.Action;
-            Entry->VarTypes = Inv.VarTypes;
-          }
-          ++Cache.Hits;
-          Cache.Map.emplace(Key, Entry);
-          Cache.Footprints.emplace(Key, SharedHit->Footprint);
-          FPFrames.back().insert(SharedHit->Footprint.begin(),
-                                 SharedHit->Footprint.end());
-          LocalFootprints[Key] = std::move(SharedHit->Footprint);
-          return adoptRecord(Key, Entry);
-        }
-      }
     }
 
     InvariantRecord Rec;
@@ -515,38 +493,13 @@ private:
         Ok ? std::optional<InvariantRecord>(Rec) : std::nullopt;
     // Records whose proof references nested sub-invariants carry ids
     // local to *this* certificate; caching them across certificates would
-    // dangle. Only self-contained records (and failures) are shared.
+    // dangle. Only self-contained records (and failures) are cached.
     bool SelfContained = true;
     for (const ProofStep &S : Rec.Steps)
       SelfContained &= S.InvariantId < 0;
     if (Opts.CacheInvariants && (!Ok || SelfContained)) {
       Cache.Map.emplace(Key, Entry);
       Cache.Footprints.emplace(Key, Mine);
-      // Cross-worker tier. Three extra gates beyond the private cache:
-      //  * never publish under an expired budget — a budget-starved
-      //    failure is this worker's accident, not a fact about the
-      //    program, and adopting it elsewhere would break determinism;
-      //  * successful records must bind only frozen-base terms, or their
-      //    TermRefs would dangle once this worker's overlay dies;
-      //  * guards are stripped (adopters graft their own; the key pins
-      //    the guard's meaning);
-      //  * failures are published only from top-level attempts — a
-      //    depth-capped nested failure must not shadow another worker's
-      //    full-strength attempt.
-      if (Cache.Shared && (Ok || Depth == 0) &&
-          !(Opts.Budget && Opts.Budget->expiredNow())) {
-        bool BasePure = true;
-        if (Ok)
-          for (const ProofStep &S : Rec.Steps)
-            for (const auto &[Var, T] : S.Binding)
-              BasePure &= Ctx.inFrozenBase(T);
-        if (BasePure) {
-          std::optional<InvariantRecord> Pub = Entry;
-          if (Pub)
-            Pub->Guard.clear();
-          Cache.Shared->publish(Key, Pub, Mine);
-        }
-      }
     }
     return adoptRecord(Key, Entry);
   }

@@ -78,73 +78,14 @@ bool summaryMayEmit(const Program &P, const HandlerSummary &S,
 bool summaryMayAssign(const Program &P, const HandlerSummary &S,
                       const std::set<std::string> &Vars);
 
-/// A cross-worker tier for the invariant-proof cache (§6.4, "saving
-/// subproofs at key cut points" — shared between the workers of the
-/// verification service rather than within one session). Keys are the
-/// rendered GuardInvariant::cacheKey strings, which are context-
-/// independent; values follow InvariantCache semantics (nullopt = the
-/// attempt failed).
-///
-/// Published records are guard-stripped: guard literals usually reference
-/// overlay-allocated eq-nodes that die with the publishing worker's
-/// session, while a record's Steps bind only frozen-base terms (enforced
-/// at publish time). The adopting worker grafts its own candidate's guard
-/// back in — safe because the key renders the guard, so equal keys mean
-/// semantically identical guards.
-class SharedInvariantCache {
-public:
-  /// One published attempt: the record (nullopt = the attempt failed) and
-  /// the handler footprint its proof consulted, carried so adopters can
-  /// fold the entry's dependencies into their own footprint.
-  struct Entry {
-    std::optional<InvariantRecord> Rec;
-    std::set<std::string> Footprint;
-  };
-
-  std::optional<Entry> lookup(const std::string &Key) const {
-    const Bucket &B = shard(Key);
-    std::shared_lock<std::shared_mutex> Lock(B.Mu);
-    auto It = B.Map.find(Key);
-    if (It == B.Map.end())
-      return std::nullopt;
-    return It->second;
-  }
-
-  void publish(const std::string &Key,
-               const std::optional<InvariantRecord> &Rec,
-               const std::set<std::string> &Footprint) {
-    Bucket &B = shard(Key);
-    std::unique_lock<std::shared_mutex> Lock(B.Mu);
-    B.Map.emplace(Key, Entry{Rec, Footprint});
-  }
-
-private:
-  struct Bucket {
-    mutable std::shared_mutex Mu;
-    std::map<std::string, Entry> Map;
-  };
-  static constexpr size_t NumShards = 8;
-  size_t shardIndex(const std::string &Key) const {
-    return std::hash<std::string>()(Key) % NumShards;
-  }
-  Bucket &shard(const std::string &Key) { return Shards[shardIndex(Key)]; }
-  const Bucket &shard(const std::string &Key) const {
-    return Shards[shardIndex(Key)];
-  }
-  std::array<Bucket, NumShards> Shards;
-};
-
 /// Cross-property cache of invariant proofs. Entries are std::nullopt for
-/// invariants that were attempted and failed. When Shared is set (the
-/// parallel service, over a frozen abstraction), misses consult the
-/// cross-worker tier and shareable outcomes are published to it.
+/// invariants that were attempted and failed.
 struct InvariantCache {
   std::map<std::string, std::optional<InvariantRecord>> Map;
   /// Parallel to Map: the handler footprint each attempt consulted
   /// (successes *and* failures — an adopted failure steers the search, so
   /// its dependencies propagate to the adopting proof's footprint).
   std::map<std::string, std::set<std::string>> Footprints;
-  SharedInvariantCache *Shared = nullptr;
   uint64_t Hits = 0;
 };
 

@@ -152,10 +152,9 @@ FrozenAbstraction::FrozenAbstraction(const Program &P,
   if (Outcome != BudgetOutcome::Ok)
     Reason = "behavioral abstraction build abandoned: " + BuildD.describe();
   // Widen the frozen base with the terms every property proof touches, so
-  // they are shared (and shared-cache-eligible) rather than re-created in
-  // each worker's overlay: the boolean literals and the pattern-variable
-  // symbols of the trace properties. Invariant records bind pattern
-  // symbols and abstraction terms, so this makes them base-pure.
+  // they are shared rather than re-created in each worker's overlay: the
+  // boolean literals and the pattern-variable symbols of the trace
+  // properties.
   Ctx.boolLit(true);
   Ctx.boolLit(false);
   for (const Property &Prop : P.Properties) {
@@ -179,17 +178,12 @@ FrozenAbstraction::build(const Program &P, const VerifyOptions &Opts) {
 }
 
 struct VerifySession::Impl {
-  Impl(std::shared_ptr<const FrozenAbstraction> FrozenIn,
-       SharedVerifyCaches *Shared)
+  explicit Impl(std::shared_ptr<const FrozenAbstraction> FrozenIn)
       : Frozen(std::move(FrozenIn)), P(Frozen->program()),
         Opts(Frozen->options()), Ctx(&Frozen->context()), Solv(Ctx),
         Abs(Frozen->behAbs()), BuildOutcome(Frozen->buildOutcome()),
         BuildReason(Frozen->buildReason()) {
     Solv.setMemoEnabled(Opts.CacheInvariants);
-    if (Shared) {
-      Solv.setSharedMemo(&Shared->SolverMemo);
-      Cache.Shared = &Shared->Invariants;
-    }
   }
 
   std::shared_ptr<const FrozenAbstraction> Frozen;
@@ -204,11 +198,10 @@ struct VerifySession::Impl {
 };
 
 VerifySession::VerifySession(const Program &P, const VerifyOptions &Opts)
-    : I(std::make_unique<Impl>(FrozenAbstraction::build(P, Opts), nullptr)) {}
+    : I(std::make_unique<Impl>(FrozenAbstraction::build(P, Opts))) {}
 
-VerifySession::VerifySession(std::shared_ptr<const FrozenAbstraction> Abs,
-                             SharedVerifyCaches *Shared)
-    : I(std::make_unique<Impl>(std::move(Abs), Shared)) {}
+VerifySession::VerifySession(std::shared_ptr<const FrozenAbstraction> Abs)
+    : I(std::make_unique<Impl>(std::move(Abs))) {}
 
 VerifySession::~VerifySession() = default;
 
@@ -412,7 +405,7 @@ VerificationReport VerifySession::verifyAll() {
   Report.SolverQueries = I->Solv.queriesSolved();
   Report.InvariantCacheHits = I->Cache.Hits;
   const SolverStats &SS = I->Solv.stats();
-  Report.SolverMemoHits = SS.MemoHits + SS.SharedMemoHits;
+  Report.SolverMemoHits = SS.MemoHits;
   Report.SolverAssumptionChecks = SS.AssumptionChecks;
   Report.SolverTrailUndos = SS.TrailUndos;
   Report.SolverReasonLogBytes = SS.ReasonLogBytes;

@@ -144,10 +144,10 @@ struct VerificationReport {
   uint64_t SolverQueries = 0;
   uint64_t InvariantCacheHits = 0;
   /// Incremental solver core counters (sym/solver.h SolverStats), summed
-  /// across the sessions that produced this report: memo hits (private +
-  /// shared), scoped checks answered under an asserted assumption stack,
-  /// undo-trail entries reversed by pop(), and bytes of recorded reason
-  /// trails (zero unless solver-level proof logging ran).
+  /// across the sessions that produced this report: memo hits, scoped
+  /// checks answered under an asserted assumption stack, undo-trail
+  /// entries reversed by pop(), and bytes of recorded reason trails (zero
+  /// unless solver-level proof logging ran).
   uint64_t SolverMemoHits = 0;
   uint64_t SolverAssumptionChecks = 0;
   uint64_t SolverTrailUndos = 0;
@@ -213,16 +213,6 @@ private:
   std::string Reason;
 };
 
-/// The cross-worker caches of Phase 2: sharded, mutex-striped tiers for
-/// the solver memo and the §6.4 invariant cache. One instance per
-/// (program, frozen abstraction); attach to sessions built over that
-/// abstraction. Entries are semantically transparent (a hit returns what
-/// the worker would have computed), so verdicts stay deterministic.
-struct SharedVerifyCaches {
-  SharedSolverMemo SolverMemo;
-  SharedInvariantCache Invariants;
-};
-
 /// A verification session: one abstraction, many properties. Keeps the
 /// term context, solver memo, and invariant cache alive across properties
 /// (the cut-point caching of §6.4).
@@ -234,9 +224,7 @@ public:
 
   /// A session over a shared frozen abstraction: property-local terms go
   /// to a private overlay context; options come from the abstraction.
-  /// \p Shared (optional) attaches the cross-worker cache tiers.
-  explicit VerifySession(std::shared_ptr<const FrozenAbstraction> Abs,
-                         SharedVerifyCaches *Shared = nullptr);
+  explicit VerifySession(std::shared_ptr<const FrozenAbstraction> Abs);
   ~VerifySession();
 
   /// Verifies a single property under the budget configured in the

@@ -452,19 +452,23 @@ TEST(Chaos, TamperedJournalCertificateIsReverifiedNeverServed) {
   expectResultsMatch(Edit, Want, "post-tamper edit");
 }
 
-TEST(Chaos, JournalFromOlderDaemonWithFastCacheOptionStillRecovers) {
-  // Daemons once journaled a `fast_cache` option in each session's
-  // open-session frame. The option is gone; the decoder ignores unknown
-  // option keys, so such a journal still recovers, and every Proved
-  // verdict comes back re-checked by the certificate checker.
-  std::string CacheDir = tempDir("chaos_oldopts");
+/// Opens a session on ssh2, rewrites its journaled open-session frame as
+/// an older daemon wrote it — the same frame plus \p OldOption (a
+/// `"key":value,` option of a since-retired flag), under a valid checksum
+/// — and restarts the daemon on that journal. The session must recover,
+/// and its next edit must be served from the recovered verdicts,
+/// byte-identical to a cold run, every Proved verdict re-checked by the
+/// certificate checker.
+void expectJournalWithRetiredOptionRecovers(const std::string &Tag,
+                                            const std::string &OldOption) {
+  std::string CacheDir = tempDir("chaos_" + Tag);
   const kernels::KernelDef &K = kernels::ssh2();
   ProgramPtr P = kernels::load(K);
   VerificationReport Want = freshReport(*P);
 
   {
     DaemonOptions O;
-    O.SocketPath = sockPath("old1");
+    O.SocketPath = sockPath((Tag + "1").c_str());
     O.CacheDir = CacheDir;
     TestDaemon TD(O);
     ASSERT_NE(TD.D, nullptr);
@@ -473,8 +477,6 @@ TEST(Chaos, JournalFromOlderDaemonWithFastCacheOptionStillRecovers) {
                     .getBool("ok"));
   }
 
-  // Rewrite the session record as an older daemon wrote it: the same
-  // open-session frame plus "fast_cache": true, under a valid checksum.
   std::string Path = CacheDir + "/verdicts.journal";
   std::istringstream In(slurp(Path));
   std::string Line, Rebuilt;
@@ -489,7 +491,7 @@ TEST(Chaos, JournalFromOlderDaemonWithFastCacheOptionStillRecovers) {
       std::string Frame = Doc->getString("frame");
       size_t At = Frame.find("\"no_check\":");
       ASSERT_NE(At, std::string::npos) << Frame;
-      Frame.insert(At, "\"fast_cache\":true,");
+      Frame.insert(At, OldOption);
       JsonWriter W;
       W.beginObject();
       W.field("type", "session");
@@ -506,7 +508,7 @@ TEST(Chaos, JournalFromOlderDaemonWithFastCacheOptionStillRecovers) {
   spit(Path, Rebuilt);
 
   DaemonOptions O;
-  O.SocketPath = sockPath("old2");
+  O.SocketPath = sockPath((Tag + "2").c_str());
   O.CacheDir = CacheDir;
   TestDaemon TD(O);
   ASSERT_NE(TD.D, nullptr);
@@ -529,6 +531,21 @@ TEST(Chaos, JournalFromOlderDaemonWithFastCacheOptionStillRecovers) {
       EXPECT_TRUE(R.getBool("cert_checked")) << R.getString("name");
     }
   }
+}
+
+TEST(Chaos, JournalFromOlderDaemonWithFastCacheOptionStillRecovers) {
+  // Daemons once journaled a `fast_cache` option in each session's
+  // open-session frame. The option is gone; the decoder ignores unknown
+  // option keys, so such a journal still recovers.
+  expectJournalWithRetiredOptionRecovers("oldopts", "\"fast_cache\":true,");
+}
+
+TEST(Chaos, JournalFromOlderDaemonWithNoShareOptionStillRecovers) {
+  // Daemons once journaled a `no_share` option (the switch that gave
+  // every worker a private abstraction) in each session's open-session
+  // frame. Every worker now shares the program's frozen abstraction; a
+  // journal that asked for private ones recovers to the same verdicts.
+  expectJournalWithRetiredOptionRecovers("oldshare", "\"no_share\":true,");
 }
 
 TEST(Chaos, JournalWithSkipStepCertificatesIsReverifiedNotLost) {

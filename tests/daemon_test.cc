@@ -700,6 +700,49 @@ TEST(Daemon, BadEngineOptionIsAStructuredError) {
       << Resp.getString("error");
 }
 
+TEST(Daemon, RetiredNoShareOptionDecodesAndAnswersByteForByte) {
+  // Clients once sent "no_share" to give every worker a private
+  // abstraction. Every worker now shares the program's frozen
+  // abstraction; the key decodes as an ignored unknown option, and the
+  // request is answered exactly as one without it.
+  const kernels::KernelDef &K = kernels::ssh();
+  std::string Old = frame("verify", "", K.Source, "{\"no_share\":true}");
+  std::string New = frame("verify", "", K.Source, "{}");
+  Result<DaemonRequest> OldReq = decodeDaemonRequest(Old);
+  Result<DaemonRequest> NewReq = decodeDaemonRequest(New);
+  ASSERT_TRUE(OldReq.ok()) << OldReq.error();
+  ASSERT_TRUE(NewReq.ok()) << NewReq.error();
+  EXPECT_EQ(encodeOpenSessionFrame(*OldReq, K.Source),
+            encodeOpenSessionFrame(*NewReq, K.Source));
+
+  TestDaemon TD(daemonOptions("noshare"));
+  ASSERT_NE(TD.D, nullptr);
+  DaemonClient C = mustConnect(TD.D->socketPath());
+  JsonValue OldResp = mustCall(C, Old);
+  JsonValue NewResp = mustCall(C, New);
+  ASSERT_TRUE(OldResp.getBool("ok")) << OldResp.getString("error");
+  ASSERT_TRUE(NewResp.getBool("ok")) << NewResp.getString("error");
+  ProgramPtr P = kernels::load(K);
+  expectResultsMatch(OldResp, freshReport(*P), "no_share request");
+  // Every result field but the wall clock, byte for byte.
+  auto Stable = [](const JsonValue &Resp) {
+    std::string Out;
+    if (const JsonValue *Results = Resp.get("results"))
+      for (const JsonValue &R : Results->items()) {
+        Out += R.getString("name") + "|" + R.getString("status") + "|" +
+               R.getString("reason") + "|" + R.getString("engine") + "|" +
+               std::to_string(R.getBool("cert_checked")) + "|" +
+               std::to_string(R.getBool("cache_hit")) + "|";
+        if (const JsonValue *Cert = R.get("cert"))
+          Out += canon(*Cert);
+        Out += "\n";
+      }
+    return Out;
+  };
+  EXPECT_FALSE(Stable(NewResp).empty());
+  EXPECT_EQ(Stable(OldResp), Stable(NewResp));
+}
+
 TEST(Daemon, StatsCountVerdictsServedPerEngine) {
   TestDaemon TD(daemonOptions("engine-stats"));
   ASSERT_NE(TD.D, nullptr);

@@ -18,6 +18,14 @@
 #include "verify/absreplay.h"
 
 namespace reflex {
+namespace kernels {
+
+// Prints the kernel of a Refinement parameter by name rather than by
+// address, so the listed test names are the same on every build.
+void PrintTo(const KernelDef *K, std::ostream *OS) { *OS << K->Name; }
+
+} // namespace kernels
+
 namespace {
 
 using RefinementParam = std::tuple<const kernels::KernelDef *, uint64_t>;

@@ -952,8 +952,7 @@ TEST(Scheduler, InjectedBudgetExhaustionIsReportedNotCached) {
 /// declaration-ordered report, identical verdicts at 1 and 4 workers,
 /// the two damaged entries quarantined on disk, and the stale entry
 /// re-verified in place without quarantine.
-std::vector<std::string> runFaultedAcceptanceBatch(unsigned Jobs,
-                                                   bool SharedCaches = true) {
+std::vector<std::string> runFaultedAcceptanceBatch(unsigned Jobs) {
   ProgramPtr Ssh = kernels::load(kernels::ssh());
   ProgramPtr Car = kernels::load(kernels::car());
   std::vector<const Program *> Programs{Ssh.get(), Car.get()};
@@ -965,7 +964,6 @@ std::vector<std::string> runFaultedAcceptanceBatch(unsigned Jobs,
   // Warm the cache faultlessly.
   SchedulerOptions Fill;
   Fill.Jobs = Jobs;
-  Fill.SharedCaches = SharedCaches;
   Fill.Cache = Cache.get();
   BatchOutcome Cold = verifyPrograms(Programs, Fill);
   EXPECT_TRUE(Cold.allProved());
@@ -1005,7 +1003,6 @@ std::vector<std::string> runFaultedAcceptanceBatch(unsigned Jobs,
 
   SchedulerOptions Opts;
   Opts.Jobs = Jobs;
-  Opts.SharedCaches = SharedCaches;
   Opts.Cache = Cache.get();
   Opts.Faults = &Plan;
   Opts.Retries = 1;
@@ -1059,19 +1056,6 @@ TEST(Scheduler, FaultedBatchIsCompleteAndDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(OneWorker, FourWorkers)
       << "verdicts, reasons, and attempt counts must not depend on the "
          "worker count";
-}
-
-TEST(Scheduler, SharingToggleDoesNotChangeFaultedVerdicts) {
-  // The same seeded fault plan (worker crashes, injected budgets,
-  // corrupted cache entries) at four workers, with the phase-1/phase-2
-  // sharing on and off: the shared frozen abstraction and the
-  // cross-worker cache tiers are semantically transparent, so the
-  // verdict list — including failure reasons and attempt counts — must
-  // not depend on the toggle.
-  std::vector<std::string> Shared = runFaultedAcceptanceBatch(4, true);
-  std::vector<std::string> Private = runFaultedAcceptanceBatch(4, false);
-  EXPECT_EQ(Shared, Private)
-      << "SchedulerOptions::SharedCaches must not change verdicts";
 }
 
 /// Footprint-relative warm batch under faults: warm a cache from the
@@ -1136,10 +1120,10 @@ TEST(Scheduler, FootprintWarmBatchDeterministicAcrossWorkerCounts) {
 //===----------------------------------------------------------------------===//
 
 /// Serializes a report with the run-to-run-varying fields (wall clock and
-/// work-effort counters — timing and effort, never verdicts; shared-cache
-/// hits legitimately shift work between racing sessions) zeroed, so what
-/// remains must be byte-identical across worker counts and interleavings:
-/// names, statuses, reasons, certificate checks, attempt counts.
+/// work-effort counters — timing and effort, never verdicts) zeroed, so
+/// what remains must be byte-identical across worker counts and
+/// interleavings: names, statuses, reasons, certificate checks, attempt
+/// counts.
 std::string stableReportJson(VerificationReport R) {
   R.TotalMillis = 0;
   R.TermCount = 0;
@@ -1158,15 +1142,14 @@ TEST(Scheduler, RacingSessionsOverOneFrozenAbstractionAgree) {
   // The cross-thread schedule the scheduler cannot produce on a small
   // machine (it never runs more OS threads than cores): four raw threads,
   // each with a private overlay session, racing over one shared
-  // FrozenAbstraction and one set of cross-worker cache tiers. Under TSan
-  // (tools/run_tsan.sh) this is the data-race check for the whole
-  // phase-1/phase-2 sharing design; on any host it checks that every
-  // racing session produces the one-worker report, byte for byte.
+  // FrozenAbstraction. Under TSan (tools/run_tsan.sh) this is the
+  // data-race check for the frozen base shared by every worker; on any
+  // host it checks that every racing session produces the one-worker
+  // report, byte for byte.
   ProgramPtr P = kernels::load(kernels::ssh2());
   std::shared_ptr<const FrozenAbstraction> Abs =
       FrozenAbstraction::build(*P);
   ASSERT_EQ(Abs->buildOutcome(), BudgetOutcome::Ok);
-  SharedVerifyCaches Caches;
 
   SchedulerOptions Seq;
   Seq.Jobs = 1;
@@ -1183,7 +1166,7 @@ TEST(Scheduler, RacingSessionsOverOneFrozenAbstractionAgree) {
     std::vector<std::thread> Threads;
     for (unsigned T = 0; T < NumThreads; ++T)
       Threads.emplace_back([&, T] {
-        VerifySession S(Abs, &Caches);
+        VerifySession S(Abs);
         VerificationReport R = S.verifyAll();
         for (const PropertyResult &PR : R.Results)
           Certs[T].push_back(PR.CertJson);
@@ -1439,7 +1422,7 @@ TEST(ProofCache, GcTreatsUndecodableEntriesAsDead) {
 /// The whole suite plus the engine-separating pdrlock kernel, verified
 /// under \p Kind, flattened to byte-comparable verdict strings.
 std::vector<std::string> runEngineBatch(EngineKind Kind, unsigned Jobs,
-                                        bool Shared, uint64_t FaultSeed = 0) {
+                                        uint64_t FaultSeed = 0) {
   ProgramPtr Ssh2 = kernels::load(kernels::ssh2());
   ProgramPtr Car = kernels::load(kernels::car());
   ProgramPtr Lock = kernels::load(kernels::pdrlock());
@@ -1447,7 +1430,6 @@ std::vector<std::string> runEngineBatch(EngineKind Kind, unsigned Jobs,
 
   SchedulerOptions Opts;
   Opts.Jobs = Jobs;
-  Opts.SharedCaches = Shared;
   Opts.Verify.Engine = Kind;
   // A seeded probabilistic plan plus one staged crash: every fault
   // decision is a pure function of (site, key, seed), so the flattened
@@ -1471,29 +1453,24 @@ std::vector<std::string> runEngineBatch(EngineKind Kind, unsigned Jobs,
 }
 
 TEST(Scheduler, PdrVerdictsDeterministicAcrossWorkersAndSharing) {
-  std::vector<std::string> Base = runEngineBatch(EngineKind::Pdr, 1, true);
-  EXPECT_EQ(Base, runEngineBatch(EngineKind::Pdr, 4, true));
-  EXPECT_EQ(Base, runEngineBatch(EngineKind::Pdr, 4, false));
+  std::vector<std::string> Base = runEngineBatch(EngineKind::Pdr, 1);
+  EXPECT_EQ(Base, runEngineBatch(EngineKind::Pdr, 4));
 }
 
 TEST(Scheduler, PortfolioVerdictsDeterministicAcrossWorkersAndSharing) {
   // The canonical selection rule makes portfolio verdicts independent
   // of scheduling: statuses, reasons, serving engines, and certificate
-  // bytes all agree across worker counts and the sharing toggle.
-  std::vector<std::string> Base =
-      runEngineBatch(EngineKind::Portfolio, 1, true);
-  EXPECT_EQ(Base, runEngineBatch(EngineKind::Portfolio, 4, true));
-  EXPECT_EQ(Base, runEngineBatch(EngineKind::Portfolio, 4, false));
+  // bytes all agree across worker counts.
+  std::vector<std::string> Base = runEngineBatch(EngineKind::Portfolio, 1);
+  EXPECT_EQ(Base, runEngineBatch(EngineKind::Portfolio, 4));
 }
 
 TEST(Scheduler, FaultedPortfolioVerdictsAreSeedDeterministic) {
   // A seeded worker crash on pdrlock's property, retried once: the final
   // verdicts (portfolio selection included) must not depend on the
   // worker count.
-  std::vector<std::string> One =
-      runEngineBatch(EngineKind::Portfolio, 1, true, 7);
-  std::vector<std::string> Four =
-      runEngineBatch(EngineKind::Portfolio, 4, true, 7);
+  std::vector<std::string> One = runEngineBatch(EngineKind::Portfolio, 1, 7);
+  std::vector<std::string> Four = runEngineBatch(EngineKind::Portfolio, 4, 7);
   EXPECT_EQ(One, Four);
 }
 

@@ -10,18 +10,14 @@
 //     and logging on (recording must not change answers);
 //
 //  2. whole-system verdict parity: every example kernel (plus pdrlock)
-//     under every engine, verified at jobs 1 vs 4, sharing on vs off,
-//     and under an injected first-attempt-crash fault plan — the full
-//     per-property verdict JSON (status, reason, certificate bytes,
-//     engine) must be byte-identical to the sequential reference;
+//     under every engine, verified at jobs 1 vs 4 and under an injected
+//     first-attempt-crash fault plan — the full per-property verdict JSON
+//     (status, reason, certificate bytes, engine) must be byte-identical
+//     to the sequential reference;
 //
 //  3. the solver-level proof log: recorded reason trails replay through
 //     the independent validator, tampered trails are rejected, and the
 //     rendered log is deterministic across sessions.
-//
-// Also pins the SharedSolverMemo publication contract: assumption-scoped
-// checks must never publish to the cross-worker tier (their keys cover
-// scope-local literals other workers cannot see).
 //
 //===----------------------------------------------------------------------===//
 
@@ -180,7 +176,6 @@ TEST(SolverParity, VerdictsIdenticalAcrossJobsSharingEnginesAndFaults) {
     for (const ProgramPtr &P : Programs) {
       SchedulerOptions RefOpts;
       RefOpts.Jobs = 1;
-      RefOpts.SharedCaches = false;
       RefOpts.Verify.Engine = Eng;
       std::string Ref =
           verdictJson(verifyPrograms({P.get()}, RefOpts).Reports[0]);
@@ -194,12 +189,7 @@ TEST(SolverParity, VerdictsIdenticalAcrossJobsSharingEnginesAndFaults) {
 
       SchedulerOptions J4;
       J4.Jobs = 4;
-      Check(J4, "jobs=4 sharing=on");
-
-      SchedulerOptions J4Private;
-      J4Private.Jobs = 4;
-      J4Private.SharedCaches = false;
-      Check(J4Private, "jobs=4 sharing=off");
+      Check(J4, "jobs=4");
 
       SchedulerOptions Faulted;
       Faulted.Jobs = 4;
@@ -209,47 +199,6 @@ TEST(SolverParity, VerdictsIdenticalAcrossJobsSharingEnginesAndFaults) {
       Check(Faulted, "jobs=4 first-attempt-crash");
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Shared-memo publication contract
-//===----------------------------------------------------------------------===//
-
-TEST(SolverSharedMemo, AssumptionScopedChecksAreNeverPublished) {
-  // All atoms are minted in the base before the freeze: the shared tier
-  // only accepts queries whose atoms the other workers' overlays share.
-  TermContext Base;
-  TermRef X = Base.stateSym("x", BaseType::Num);
-  TermRef Y = Base.stateSym("y", BaseType::Num);
-  std::vector<Lit> BasePure = {Lit(Base.eq(X, Base.numLit(1)), true),
-                               Lit(Base.eq(X, Y), true)};
-  std::vector<Lit> Goal = {Lit(Base.eq(Y, Base.numLit(2)), true)};
-  Lit FreshGoal(Base.eq(Y, Base.numLit(3)), true);
-  Base.freeze();
-
-  TermContext Overlay(&Base);
-  SharedSolverMemo Shared;
-  Solver S(Overlay);
-  S.setSharedMemo(&Shared);
-
-  // Scoped checks — even over base-pure literals — stay private: the
-  // memo key covers the scope stack, which other workers cannot see.
-  {
-    Solver::Scope Sc(S, BasePure);
-    EXPECT_EQ(S.checkAssuming(Goal), SatResult::Unsat);
-    EXPECT_EQ(S.check(), SatResult::Maybe);
-  }
-  EXPECT_EQ(Shared.size(), 0u)
-      << "assumption-scoped checks must not publish to the shared tier";
-
-  // A *fresh* base-pure query at scope 0 publishes. (The flattened form
-  // of the scoped query above would not: it shares the scoped check's
-  // memo key — the memo is keyed on the full literal set — so it is
-  // answered privately without re-solving.)
-  std::vector<Lit> Fresh = BasePure;
-  Fresh.push_back(FreshGoal);
-  EXPECT_EQ(S.checkLits(Fresh), SatResult::Unsat);
-  EXPECT_GT(Shared.size(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -80,9 +80,6 @@ int usage() {
       "                    was served from a cache or footprint instead of\n"
       "                    a fresh proof search; any disagreement aborts\n"
       "                    with exit code 4)\n"
-      "                    --no-share (build private per-worker\n"
-      "                    abstractions instead of one shared frozen\n"
-      "                    abstraction with cross-worker caches)\n"
       "                    --timeout-ms N / --step-budget N (per-property\n"
       "                    budgets; exhausted properties report Timeout /\n"
       "                    ResourceExhausted, exit code 3)\n"
@@ -181,7 +178,7 @@ const std::map<std::string, std::vector<std::string>> CommandFlags = {
     {"verify",
      {"--no-skip", "--no-simplify", "--no-cache", "--no-check", "--engine",
       "--bmc-depth", "--certs", "--json", "--jobs", "--cache-dir",
-      "--audit-footprints", "--no-share", "--timeout-ms", "--step-budget",
+      "--audit-footprints", "--timeout-ms", "--step-budget",
       "--retries", "--fault-seed"}},
     {"bmc", {"--property", "--depth"}},
     {"run", {"--steps", "--seed", "--quiet"}},
@@ -282,7 +279,6 @@ int cmdVerify(const Args &A, const Program &P) {
   }
   SOpts.Jobs = unsigned(numOption(A, "--jobs", 1));
   SOpts.Retries = unsigned(numOption(A, "--retries", 0));
-  SOpts.SharedCaches = !A.Options.count("--no-share");
 
   // --fault-seed arms a deterministic failure drill: ~3% of fault-plan
   // decisions (cache IO operations, worker attempts) misbehave, chosen

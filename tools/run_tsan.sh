@@ -16,11 +16,12 @@
 #   * tests/chaos_test        — journal appends from handler threads,
 #                               overload shedding under concurrent
 #                               clients, supervised restarts
-#   * tests/solver_test       — the incremental solver core incl. the
-#                               shared cross-worker memo tier
+#   * tests/solver_test       — the incremental solver core: scopes, the
+#                               undo trail, reason trails
 #   * tests/solver_diff_test  — incremental-vs-reference differential and
-#                               verdict parity across jobs/sharing/faults
-#                               (racing workers share the solver memo)
+#                               verdict parity across jobs/engines/faults
+#                               (racing workers, each with a private
+#                               solver, share one frozen abstraction)
 #   * bench/bench_solver      — scoped-vs-scratch query parity + reason
 #                               trail replay, in --smoke mode
 #   * bench/bench_incremental — footprint-reuse scenarios incl. the
@@ -29,7 +30,7 @@
 #                               in --smoke mode
 #   * tests/corpus_diff_test  — the generated-corpus differential oracle:
 #                               parity arms race the scheduler across
-#                               jobs/sharing/cache states on machine-made
+#                               jobs/cache states on machine-made
 #                               kernels
 #
 # Usage: tools/run_tsan.sh [build-dir]       (default: build-tsan)
